@@ -262,7 +262,7 @@ func readSpecFile(path string) ([]byte, error) {
 }
 
 // runBench parses the bench subcommand's flags and runs the perf harness:
-// dense-vs-sparse thermal-solver and TSP micro-benchmarks plus (by
+// thermal-solver, influence, TSP and transient micro-benchmarks plus (by
 // default) one benchmark per paper figure, written as a JSON report for
 // cross-PR perf tracking.
 func runBench(ctx context.Context, args []string, w io.Writer) error {

@@ -1,6 +1,7 @@
 // Package bench is the perf-trajectory harness behind `darksim bench`:
 // it runs the repository's headline benchmarks — every paper figure plus
-// the dense-vs-sparse thermal-solver and TSP micro-benchmarks — through
+// the thermal-solver, influence, TSP and transient micro-benchmarks on
+// the 100-core and 1024-core platform classes — through
 // testing.Benchmark and emits one machine-readable JSON report
 // (BENCH_PR6.json in CI) so successive PRs can be compared on ns/op,
 // allocs/op and solver iterations.
@@ -43,8 +44,9 @@ type Report struct {
 	// the parallel-figures wall-clock entry only makes sense against it.
 	NumCPU  int      `json:"numcpu"`
 	Results []Result `json:"results"`
-	// Speedups maps a benchmark family to the dense-path ns/op divided
-	// by the sparse-path ns/op measured in this same run.
+	// Speedups maps a fast path to the ns/op of the work it replaces
+	// divided by its own ns/op, both measured in this same run: the
+	// warm influence cache, the warm TSP request and the macro ladder.
 	Speedups map[string]float64 `json:"speedups"`
 }
 
@@ -61,11 +63,18 @@ type Options struct {
 // shorter simulated horizon.
 var transientBenchDuration = map[string]float64{"fig11": 2, "fig12": 0.5, "fig13": 0.25}
 
-// solverCoreCounts are the platform sizes the dense-vs-sparse
-// micro-benchmarks sweep (side² cores). The largest is the headline
-// comparison: well above the auto-threshold, where the dense path's
-// cubic factorization dominates.
-var solverCoreCounts = []int{10, 32}
+// className is the "Dense"/"Sparse" part of a benchmark name. It names
+// the platform class, not a solver: "Dense" is the 100-core class
+// (364 nodes, below the thermal node gate, so every solve is direct),
+// "Sparse" the 1024-core class (2212 nodes, above the gate, where
+// transient steps run CG). The names predate the single direct solver
+// and are kept so committed baselines gate the same workloads.
+func className(side int) string {
+	if side*side >= 1024 {
+		return "Sparse"
+	}
+	return "Dense"
+}
 
 // tspCoreSide sizes the TSP worst-case benchmark platform.
 const tspCoreSide = 32
@@ -75,10 +84,9 @@ const tspCoreSide = 32
 const influenceCoreSide = 32
 
 // transientSmallSide and transientLargeSide size the transient stepping
-// micro-benchmarks: 100 cores sits below the macro-kernel node gate on
-// both solver paths (so TransientMacro runs there), 1024 cores is the
-// sparse path's realistic large platform (above the gate — exact steps
-// only).
+// micro-benchmarks: 100 cores sits below the thermal node gate (direct
+// steps, so TransientMacro runs there), 1024 cores above it (warm-
+// started CG steps, no macro ladder).
 const (
 	transientSmallSide = 10
 	transientLargeSide = 32
@@ -136,37 +144,21 @@ func Run(ctx context.Context, opt Options) (*Report, error) {
 	return rep, nil
 }
 
-// computeSpeedups derives dense/sparse ratios for every benchmark family
-// that ran both paths in this report.
+// computeSpeedups derives the fast-path ratios whose both sides ran in
+// this report.
 func (rep *Report) computeSpeedups() {
 	ns := make(map[string]float64, len(rep.Results))
 	for _, r := range rep.Results {
 		ns[r.Name] = r.NsPerOp
 	}
-	for _, side := range solverCoreCounts {
-		cores := side * side
-		d, okd := ns[fmt.Sprintf("ThermalSolveDense/cores=%d", cores)]
-		s, oks := ns[fmt.Sprintf("ThermalSolveSparse/cores=%d", cores)]
-		if okd && oks && s > 0 {
-			rep.Speedups[fmt.Sprintf("thermal_solve/cores=%d", cores)] = d / s
-		}
-	}
-	cores := tspCoreSide * tspCoreSide
-	d, okd := ns[fmt.Sprintf("TSPWorstCaseDense/cores=%d", cores)]
-	s, oks := ns[fmt.Sprintf("TSPWorstCaseSparse/cores=%d", cores)]
-	if okd && oks && s > 0 {
-		rep.Speedups[fmt.Sprintf("tsp_worstcase/cores=%d", cores)] = d / s
-	}
 	icores := influenceCoreSide * influenceCoreSide
-	col, okc := ns[fmt.Sprintf("InfluenceColumn/cores=%d", icores)]
 	blk, okb := ns[fmt.Sprintf("InfluenceBlock/cores=%d", icores)]
-	if okc && okb && blk > 0 {
-		rep.Speedups[fmt.Sprintf("influence_block/cores=%d", icores)] = col / blk
-	}
 	wrm, okw := ns[fmt.Sprintf("InfluenceWarm/cores=%d", icores)]
 	if okb && okw && wrm > 0 {
 		rep.Speedups[fmt.Sprintf("influence_warm/cores=%d", icores)] = blk / wrm
 	}
+	cores := tspCoreSide * tspCoreSide
+	s, oks := ns[fmt.Sprintf("TSPWorstCase%s/cores=%d", className(tspCoreSide), cores)]
 	tw, okt := ns[fmt.Sprintf("TSPWorstCaseWarm/cores=%d", cores)]
 	if oks && okt && tw > 0 {
 		rep.Speedups[fmt.Sprintf("tsp_warm/cores=%d", cores)] = s / tw
@@ -174,12 +166,10 @@ func (rep *Report) computeSpeedups() {
 	// Macro vs exact stepping: one TransientMacro op advances
 	// macroBenchSteps periods, so the fair exact-path cost is step × k.
 	mcores := transientSmallSide * transientSmallSide
-	for _, p := range []struct{ path, key string }{{"Dense", "dense"}, {"Sparse", "sparse"}} {
-		st, okst := ns[fmt.Sprintf("TransientStep%s/cores=%d", p.path, mcores)]
-		mc, okmc := ns[fmt.Sprintf("TransientMacro%s/cores=%d", p.path, mcores)]
-		if okst && okmc && mc > 0 {
-			rep.Speedups[fmt.Sprintf("transient_macro_%s/cores=%d", p.key, mcores)] = st * macroBenchSteps / mc
-		}
+	st, okst := ns[fmt.Sprintf("TransientStepDense/cores=%d", mcores)]
+	mc, okmc := ns[fmt.Sprintf("TransientMacroDense/cores=%d", mcores)]
+	if okst && okmc && mc > 0 {
+		rep.Speedups[fmt.Sprintf("transient_macro_dense/cores=%d", mcores)] = st * macroBenchSteps / mc
 	}
 }
 
@@ -208,23 +198,16 @@ func buildSpecs(ctx context.Context, opt Options) ([]spec, error) {
 			})
 		}
 	}
-	for _, side := range solverCoreCounts {
-		specs = append(specs, thermalSolveSpec(side, thermal.SolverDense), thermalSolveSpec(side, thermal.SolverSparse))
-	}
-	specs = append(specs, tspSpec(tspCoreSide, thermal.SolverDense), tspSpec(tspCoreSide, thermal.SolverSparse))
 	specs = append(specs,
-		influenceSpec(influenceCoreSide, 1),
-		influenceSpec(influenceCoreSide, 0),
+		thermalSolveSpec(transientSmallSide),
+		thermalSolveSpec(tspCoreSide),
+		tspSpec(tspCoreSide),
+		influenceSpec(influenceCoreSide),
 		influenceWarmSpec(influenceCoreSide),
 		tspWarmSpec(tspCoreSide),
-	)
-	specs = append(specs,
-		transientStepSpec(transientSmallSide, thermal.SolverDense),
-		transientStepSpec(transientSmallSide, thermal.SolverSparse),
-		transientStepSpec(transientLargeSide, thermal.SolverDense),
-		transientStepSpec(transientLargeSide, thermal.SolverSparse),
-		transientMacroSpec(transientSmallSide, thermal.SolverDense),
-		transientMacroSpec(transientSmallSide, thermal.SolverSparse),
+		transientStepSpec(transientSmallSide),
+		transientStepSpec(transientLargeSide),
+		transientMacroSpec(transientSmallSide),
 	)
 	if opt.Figures {
 		specs = append(specs, parallelFiguresSpec(ctx))
@@ -232,22 +215,25 @@ func buildSpecs(ctx context.Context, opt Options) ([]spec, error) {
 	return specs, nil
 }
 
-// transientModel builds the side×side-core platform the transient
-// stepping benchmarks share, with the given solver path forced, plus a
-// uniform 2 W power map.
-func transientModel(b *testing.B, side int, k thermal.SolverKind) (*thermal.Transient, []float64) {
+// gridModel builds a side×side-core platform model.
+func gridModel(b *testing.B, side int) *thermal.Model {
 	b.Helper()
 	fp, err := floorplan.NewGrid(side, side, 5.1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := thermal.DefaultConfig(fp.DieW, fp.DieH, side, side)
-	cfg.Solver = k
-	m, err := thermal.NewModel(fp, cfg)
+	m, err := thermal.NewModel(fp, thermal.DefaultConfig(fp.DieW, fp.DieH, side, side))
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := m.NewTransient(1e-3)
+	return m
+}
+
+// transientModel builds the side×side-core platform the transient
+// stepping benchmarks share, plus a uniform 2 W power map.
+func transientModel(b *testing.B, side int) (*thermal.Transient, []float64) {
+	b.Helper()
+	tr, err := gridModel(b, side).NewTransient(1e-3)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -263,12 +249,12 @@ func transientModel(b *testing.B, side int, k thermal.SolverKind) (*thermal.Tran
 // the unit of work every control period pays on the slow path. Model
 // construction and the factorization (warmed by one untimed step) run
 // off the clock.
-func transientStepSpec(side int, k thermal.SolverKind) spec {
-	name := fmt.Sprintf("TransientStep%s/cores=%d", pathName(k), side*side)
+func transientStepSpec(side int) spec {
+	name := fmt.Sprintf("TransientStep%s/cores=%d", className(side), side*side)
 	return spec{
 		name: name,
 		run: func(b *testing.B) {
-			tr, p := transientModel(b, side, k)
+			tr, p := transientModel(b, side)
 			if _, err := tr.Step(p); err != nil {
 				b.Fatal(err)
 			}
@@ -285,15 +271,15 @@ func transientStepSpec(side int, k thermal.SolverKind) spec {
 
 // transientMacroSpec measures collapsing a quiet macroBenchSteps-step
 // interval through the affine-powers ladder: O(log k) fused matrix
-// applies instead of k triangular solves. The kernel build (dense
-// inverse + ladder rungs) is warmed off the clock, matching how the
-// figure sweeps amortize it across a whole run.
-func transientMacroSpec(side int, k thermal.SolverKind) spec {
-	name := fmt.Sprintf("TransientMacro%s/cores=%d", pathName(k), side*side)
+// applies instead of k triangular solves. The kernel build (step matrix
+// + ladder rungs) is warmed off the clock, matching how the figure
+// sweeps amortize it across a whole run.
+func transientMacroSpec(side int) spec {
+	name := fmt.Sprintf("TransientMacro%s/cores=%d", className(side), side*side)
 	return spec{
 		name: name,
 		run: func(b *testing.B) {
-			tr, p := transientModel(b, side, k)
+			tr, p := transientModel(b, side)
 			if !tr.MacroSupported() {
 				b.Fatalf("%s: macro path unsupported at %d cores", name, side*side)
 			}
@@ -346,35 +332,13 @@ func parallelFiguresSpec(ctx context.Context) spec {
 	}
 }
 
-// influenceModel builds the sparse side×side-core model the influence
-// benchmarks share as a template (each iteration constructs its own).
-func influenceModel(b *testing.B, side, panel int) *thermal.Model {
-	b.Helper()
-	fp, err := floorplan.NewGrid(side, side, 5.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := thermal.DefaultConfig(fp.DieW, fp.DieH, side, side)
-	cfg.Solver = thermal.SolverSparse
-	cfg.InfluencePanel = panel
-	m, err := thermal.NewModel(fp, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m
-}
-
-// influenceSpec measures a cold influence-matrix build on the sparse
-// path: panel 1 is PR 5's one-column-at-a-time fan-out, panel 0 the
-// default blocked multi-RHS width. Model construction and cache resets
-// run off the clock; only the column solves are timed.
-func influenceSpec(side, panel int) spec {
+// influenceSpec measures a cold influence-matrix build: panels of
+// columns solved as batches against the steady-state factor. Model
+// construction and cache resets run off the clock; only the column
+// solves are timed.
+func influenceSpec(side int) spec {
 	var last *thermal.Model
-	kind := "Block"
-	if panel == 1 {
-		kind = "Column"
-	}
-	name := fmt.Sprintf("Influence%s/cores=%d", kind, side*side)
+	name := fmt.Sprintf("InfluenceBlock/cores=%d", side*side)
 	return spec{
 		name: name,
 		run: func(b *testing.B) {
@@ -383,7 +347,7 @@ func influenceSpec(side, panel int) spec {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				thermal.ResetInfluenceCache()
-				m := influenceModel(b, side, panel)
+				m := gridModel(b, side)
 				b.StartTimer()
 				if _, err := m.InfluenceMatrix(context.Background()); err != nil {
 					b.Fatal(err)
@@ -411,7 +375,7 @@ func influenceWarmSpec(side int) spec {
 		name: name,
 		run: func(b *testing.B) {
 			thermal.ResetInfluenceCache()
-			warm := influenceModel(b, side, 0)
+			warm := gridModel(b, side)
 			if _, err := warm.InfluenceMatrix(context.Background()); err != nil {
 				b.Fatal(err)
 			}
@@ -419,7 +383,7 @@ func influenceWarmSpec(side int) spec {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				m := influenceModel(b, side, 0)
+				m := gridModel(b, side)
 				b.StartTimer()
 				if _, err := m.InfluenceMatrix(context.Background()); err != nil {
 					b.Fatal(err)
@@ -449,14 +413,14 @@ func tspWarmSpec(side int) spec {
 		name: name,
 		run: func(b *testing.B) {
 			thermal.ResetInfluenceCache()
-			warm := influenceModel(b, side, 0)
+			warm := gridModel(b, side)
 			if _, err := warm.InfluenceMatrix(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m := influenceModel(b, side, 0)
+				m := gridModel(b, side)
 				c, err := tsp.New(m, 80)
 				if err != nil {
 					b.Fatal(err)
@@ -478,11 +442,10 @@ func tspWarmSpec(side int) spec {
 }
 
 // thermalSolveSpec measures a cold steady-state solve — model assembly,
-// factorization or preconditioning, and one solve — on a side×side-core
-// platform with the given path forced.
-func thermalSolveSpec(side int, k thermal.SolverKind) spec {
+// factorization and one solve — on a side×side-core platform.
+func thermalSolveSpec(side int) spec {
 	var last *thermal.Model
-	name := fmt.Sprintf("ThermalSolve%s/cores=%d", pathName(k), side*side)
+	name := fmt.Sprintf("ThermalSolve%s/cores=%d", className(side), side*side)
 	return spec{
 		name: name,
 		run: func(b *testing.B) {
@@ -491,7 +454,6 @@ func thermalSolveSpec(side int, k thermal.SolverKind) spec {
 				b.Fatal(err)
 			}
 			cfg := thermal.DefaultConfig(fp.DieW, fp.DieH, side, side)
-			cfg.Solver = k
 			p := make([]float64, side*side)
 			for i := range p {
 				p[i] = 2
@@ -522,10 +484,10 @@ func thermalSolveSpec(side int, k thermal.SolverKind) spec {
 // tspSpec measures a cold worst-case TSP computation — thermal model,
 // influence matrix (one solve per core) and the greedy adversarial walk —
 // at side² cores.
-func tspSpec(side int, k thermal.SolverKind) spec {
+func tspSpec(side int) spec {
 	var last *thermal.Model
 	cores := side * side
-	name := fmt.Sprintf("TSPWorstCase%s/cores=%d", pathName(k), cores)
+	name := fmt.Sprintf("TSPWorstCase%s/cores=%d", className(side), cores)
 	return spec{
 		name: name,
 		run: func(b *testing.B) {
@@ -534,7 +496,6 @@ func tspSpec(side int, k thermal.SolverKind) spec {
 				b.Fatal(err)
 			}
 			cfg := thermal.DefaultConfig(fp.DieW, fp.DieH, side, side)
-			cfg.Solver = k
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -563,11 +524,4 @@ func tspSpec(side int, k thermal.SolverKind) spec {
 			return &st
 		},
 	}
-}
-
-func pathName(k thermal.SolverKind) string {
-	if k == thermal.SolverSparse {
-		return "Sparse"
-	}
-	return "Dense"
 }

@@ -5,57 +5,46 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"darksim/internal/thermal"
 )
 
 // TestThermalSolveSpec runs the micro-benchmark body once on a tiny
-// platform for both paths and checks the measurement plumbing (names,
-// solver stats, speedup derivation) without paying real benchmark time.
+// platform and checks the measurement plumbing (name, solver stats)
+// without paying real benchmark time. The 16-core model sits below the
+// thermal node gate, so it must report the direct path with its factor;
+// the class names pin which side of the gate each headline runs on.
 func TestThermalSolveSpec(t *testing.T) {
-	rep := &Report{Speedups: make(map[string]float64)}
-	for _, k := range []thermal.SolverKind{thermal.SolverDense, thermal.SolverSparse} {
-		s := thermalSolveSpec(4, k)
-		if !strings.Contains(s.name, "cores=16") {
-			t.Fatalf("spec name %q", s.name)
+	s := thermalSolveSpec(4)
+	if s.name != "ThermalSolveDense/cores=16" {
+		t.Fatalf("spec name %q", s.name)
+	}
+	if br := testing.Benchmark(s.run); br.N == 0 {
+		t.Fatalf("%s did not run", s.name)
+	}
+	st := s.solver()
+	if st == nil || st.Solves == 0 {
+		t.Fatalf("%s reported no solver stats: %+v", s.name, st)
+	}
+	if st.Path != "direct" || st.CGIterations != 0 || st.FactorEntries == 0 {
+		t.Fatalf("%s: stats %+v, want the direct path with its factor", s.name, st)
+	}
+	for side, want := range map[int]string{transientSmallSide: "Dense", transientLargeSide: "Sparse"} {
+		if got := className(side); got != want {
+			t.Errorf("className(%d) = %q, want %q", side, got, want)
 		}
-		br := testing.Benchmark(s.run)
-		if br.N == 0 {
-			t.Fatalf("%s did not run", s.name)
-		}
-		r := Result{
-			Name:    s.name,
-			NsPerOp: float64(br.T.Nanoseconds()) / float64(br.N),
-			Solver:  s.solver(),
-		}
-		if r.Solver == nil || r.Solver.Solves == 0 {
-			t.Fatalf("%s reported no solver stats: %+v", s.name, r.Solver)
-		}
-		want := "dense"
-		if k == thermal.SolverSparse {
-			want = "sparse"
-		}
-		if r.Solver.Path != want {
-			t.Fatalf("%s ran on the %s path", s.name, r.Solver.Path)
-		}
-		rep.Results = append(rep.Results, r)
 	}
 }
 
 // TestTransientSpecs runs the transient step/macro benchmark bodies
 // once on a tiny platform: below the node gate the macro path must be
-// available on both solver paths, so the specs may not silently fall
-// back to exact stepping.
+// available, so the spec may not silently fall back to exact stepping.
 func TestTransientSpecs(t *testing.T) {
-	for _, k := range []thermal.SolverKind{thermal.SolverDense, thermal.SolverSparse} {
-		for _, mk := range []func(int, thermal.SolverKind) spec{transientStepSpec, transientMacroSpec} {
-			s := mk(4, k)
-			if !strings.Contains(s.name, "cores=16") {
-				t.Fatalf("spec name %q", s.name)
-			}
-			if br := testing.Benchmark(s.run); br.N == 0 {
-				t.Fatalf("%s did not run", s.name)
-			}
+	for _, mk := range []func(int) spec{transientStepSpec, transientMacroSpec} {
+		s := mk(4)
+		if !strings.Contains(s.name, "Dense/cores=16") {
+			t.Fatalf("spec name %q", s.name)
+		}
+		if br := testing.Benchmark(s.run); br.N == 0 {
+			t.Fatalf("%s did not run", s.name)
 		}
 	}
 }
@@ -64,12 +53,9 @@ func TestComputeSpeedupsAndJSON(t *testing.T) {
 	rep := &Report{
 		GoVersion: "go0.test",
 		Results: []Result{
-			{Name: "ThermalSolveDense/cores=1024", NsPerOp: 100},
 			{Name: "ThermalSolveSparse/cores=1024", NsPerOp: 10},
-			{Name: "TSPWorstCaseDense/cores=1024", NsPerOp: 50},
 			{Name: "TSPWorstCaseSparse/cores=1024", NsPerOp: 25},
 			{Name: "TSPWorstCaseWarm/cores=1024", NsPerOp: 5},
-			{Name: "InfluenceColumn/cores=1024", NsPerOp: 40},
 			{Name: "InfluenceBlock/cores=1024", NsPerOp: 8},
 			{Name: "InfluenceWarm/cores=1024", NsPerOp: 2},
 			{Name: "TransientStepDense/cores=100", NsPerOp: 1000},
@@ -78,15 +64,6 @@ func TestComputeSpeedupsAndJSON(t *testing.T) {
 		Speedups: make(map[string]float64),
 	}
 	rep.computeSpeedups()
-	if got := rep.Speedups["thermal_solve/cores=1024"]; got != 10 {
-		t.Errorf("thermal speedup = %v", got)
-	}
-	if got := rep.Speedups["tsp_worstcase/cores=1024"]; got != 2 {
-		t.Errorf("tsp speedup = %v", got)
-	}
-	if got := rep.Speedups["influence_block/cores=1024"]; got != 5 {
-		t.Errorf("influence block speedup = %v", got)
-	}
 	if got := rep.Speedups["influence_warm/cores=1024"]; got != 4 {
 		t.Errorf("influence warm speedup = %v", got)
 	}
@@ -97,13 +74,9 @@ func TestComputeSpeedupsAndJSON(t *testing.T) {
 	if got := rep.Speedups["transient_macro_dense/cores=100"]; got != 10 {
 		t.Errorf("transient macro speedup = %v", got)
 	}
-	// The sparse pair was not measured, so no entry may appear.
-	if _, ok := rep.Speedups["transient_macro_sparse/cores=100"]; ok {
-		t.Errorf("speedup for unmeasured transient pair")
-	}
-	// Families missing one path produce no entry.
-	if _, ok := rep.Speedups["thermal_solve/cores=100"]; ok {
-		t.Errorf("speedup for unmeasured family")
+	// Only the three fast-path ratios exist.
+	if len(rep.Speedups) != 3 {
+		t.Errorf("speedups = %v, want influence_warm, tsp_warm and transient_macro_dense", rep.Speedups)
 	}
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
@@ -113,7 +86,7 @@ func TestComputeSpeedupsAndJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("report JSON does not round-trip: %v", err)
 	}
-	if len(back.Results) != 10 || back.Speedups["thermal_solve/cores=1024"] != 10 {
+	if len(back.Results) != 7 || back.Speedups["tsp_warm/cores=1024"] != 5 {
 		t.Errorf("round-trip lost data: %+v", back)
 	}
 }

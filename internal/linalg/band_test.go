@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -107,89 +108,221 @@ func TestProfileOrderDisconnected(t *testing.T) {
 	}
 }
 
+// randomSPDCSR builds a random symmetric, strictly diagonally dominant
+// (hence SPD) sparse matrix with the given off-diagonal density.
+func randomSPDCSR(rng *rand.Rand, n int, density float64) *CSR {
+	b := NewCSRBuilder(n)
+	rowAbs := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if rng.Float64() < density {
+				v := 2*rng.Float64() - 1
+				b.Add(i, j, v)
+				b.Add(j, i, v)
+				rowAbs[i] += math.Abs(v)
+				rowAbs[j] += math.Abs(v)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		b.Add(i, i, rowAbs[i]+1+rng.Float64())
+	}
+	return b.Build()
+}
+
+// relResidualInf returns ‖A·x − b‖∞ / ‖b‖∞.
+func relResidualInf(a *CSR, x, b Vector) float64 {
+	ax := NewVector(a.N)
+	a.MulVec(x, ax)
+	num := 0.0
+	for i := range ax {
+		num = math.Max(num, math.Abs(ax[i]-b[i]))
+	}
+	return num / b.NormInf()
+}
+
 // TestEnvelopeCholeskyExact pins the factorization against dense ground
-// truth: the preconditioner is an exact solve, so A·(E⁻¹·r) must equal r
-// to roundoff — under both the natural and the profile ordering.
+// truth: the solve is exact, so A·x must equal b to roundoff — under
+// both the natural and the profile ordering — and it must agree with the
+// dense Cholesky of the same matrix.
 func TestEnvelopeCholeskyExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 17, 60} {
 		a := randomSPDCSR(rng, n, 0.2)
+		dense, err := NewCholesky(a.Dense())
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, perm := range [][]int{nil, ProfileOrder(a)} {
-			e, err := NewEnvelopeCholesky(a, perm, 0)
+			e, err := NewEnvelopeCholesky(a, perm)
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
-			r := NewVector(n)
-			for i := range r {
-				r[i] = rng.NormFloat64()
+			if e.Size() != n || e.Profile() < n {
+				t.Fatalf("n=%d: size %d profile %d", n, e.Size(), e.Profile())
 			}
-			z := NewVector(n)
-			e.Apply(z, r)
-			back := NewVector(n)
-			a.MulVec(z, back)
-			for i := range r {
-				if math.Abs(back[i]-r[i]) > 1e-9*(1+math.Abs(r[i])) {
-					t.Fatalf("n=%d perm=%v: A·E⁻¹·r differs at %d: %v vs %v", n, perm != nil, i, back[i], r[i])
-				}
+			b := NewVector(n)
+			for i := range b {
+				b[i] = rng.NormFloat64()
 			}
-			// Aliasing: Apply(r, r) must give the same solution.
-			alias := append(Vector(nil), r...)
-			e.Apply(alias, alias)
-			for i := range z {
-				if alias[i] != z[i] {
-					t.Fatalf("aliased Apply differs at %d", i)
+			x := b.Clone()
+			e.SolveInPlace(x)
+			if r := relResidualInf(a, x, b); r > 1e-13 {
+				t.Fatalf("n=%d perm=%v: relative residual %g", n, perm != nil, r)
+			}
+			ref, _ := dense.Solve(b)
+			for i := range x {
+				if math.Abs(x[i]-ref[i]) > 1e-12*(1+math.Abs(ref[i])) {
+					t.Fatalf("n=%d: envelope %v vs dense %v at %d", n, x[i], ref[i], i)
 				}
 			}
 		}
 	}
 }
 
-// TestEnvelopeCholeskyPanel checks the panel sweep is bit-identical to
-// per-column Apply calls, including partially filled panels.
-func TestEnvelopeCholeskyPanel(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := randomSPDCSR(rng, 50, 0.1)
-	e, err := NewEnvelopeCholesky(a, ProfileOrder(a), 0)
+// TestSolveBatchMatchesSingle pins the batched triangular solve to the
+// single-RHS path bit for bit on ragged lane counts: batching may only
+// interleave independent columns, never change any column's arithmetic.
+func TestSolveBatchMatchesSingle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 2, 5, 17, 40} {
+		for _, k := range []int{1, 2, 3, 7, 14} {
+			a := randomSPDCSR(rng, n, 0.3)
+			e, err := NewEnvelopeCholesky(a, ProfileOrder(a))
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			batch := make([]Vector, k)
+			single := make([]Vector, k)
+			for c := 0; c < k; c++ {
+				batch[c] = NewVector(n)
+				for i := range batch[c] {
+					batch[c][i] = 10 * (rng.Float64() - 0.5)
+				}
+				single[c] = batch[c].Clone()
+			}
+			if err := e.SolveBatchInPlace(batch); err != nil {
+				t.Fatalf("n=%d k=%d: batch: %v", n, k, err)
+			}
+			for c := 0; c < k; c++ {
+				e.SolveInPlace(single[c])
+				for i := range single[c] {
+					if batch[c][i] != single[c][i] {
+						t.Fatalf("n=%d k=%d col %d row %d: batch %v != single %v",
+							n, k, c, i, batch[c][i], single[c][i])
+					}
+				}
+			}
+		}
+	}
+	e, err := NewEnvelopeCholesky(gridSPDCSR(3, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const k = 5
-	for _, ka := range []int{1, 3, k} {
-		r := make([]float64, a.N*k)
-		for i := range r {
-			r[i] = rng.NormFloat64()
-		}
-		z := make([]float64, a.N*k)
-		e.applyPanel(z, r, k, ka)
-		col := NewVector(a.N)
-		zc := NewVector(a.N)
-		for c := 0; c < ka; c++ {
-			for i := 0; i < a.N; i++ {
-				col[i] = r[i*k+c]
+	if err := e.SolveBatchInPlace([]Vector{NewVector(3), NewVector(2)}); !errors.Is(err, ErrDimension) {
+		t.Fatalf("want dimension error for short column, got %v", err)
+	}
+	if err := e.SolveBatchInPlace(nil); err != nil {
+		t.Fatalf("empty batch should be a no-op, got %v", err)
+	}
+}
+
+// TestEnvelopeCholeskyPanel runs shrinking and growing batches through
+// one factor of a grid matrix, so pooled scratch of every size is
+// reused, and checks every lane against a solo solve bit for bit.
+func TestEnvelopeCholeskyPanel(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	a := gridSPDCSR(12, 9)
+	e, err := NewEnvelopeCholesky(a, ProfileOrder(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ka := range []int{16, 1, 5, 2, 13, 16} {
+		cols := make([]Vector, ka)
+		for c := range cols {
+			cols[c] = NewVector(a.N)
+			for i := range cols[c] {
+				cols[c][i] = rng.NormFloat64()
 			}
-			e.Apply(zc, col)
-			for i := 0; i < a.N; i++ {
-				if z[i*k+c] != zc[i] {
-					t.Fatalf("ka=%d: panel column %d differs at %d: %v vs %v", ka, c, i, z[i*k+c], zc[i])
+		}
+		want := make([]Vector, ka)
+		for c := range cols {
+			want[c] = cols[c].Clone()
+			e.SolveInPlace(want[c])
+		}
+		if err := e.SolveBatchInPlace(cols); err != nil {
+			t.Fatal(err)
+		}
+		for c := range cols {
+			for i := range cols[c] {
+				if cols[c][i] != want[c][i] {
+					t.Fatalf("ka=%d: lane %d differs at %d: %v vs %v", ka, c, i, cols[c][i], want[c][i])
 				}
 			}
 		}
 	}
 }
 
-// TestEnvelopeCholeskyErrors covers the rejection paths: bad orderings,
-// the envelope cap, and non-SPD input.
+// TestEnvelopeCholeskyConcurrent shares one factor between goroutines
+// mixing single and batched solves; run under -race it proves the pooled
+// scratch is per call, and every result must equal the sequential one.
+func TestEnvelopeCholeskyConcurrent(t *testing.T) {
+	a := gridSPDCSR(10, 10)
+	e, err := NewEnvelopeCholesky(a, ProfileOrder(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := func(g int) Vector {
+		b := NewVector(a.N)
+		for i := range b {
+			b[i] = float64((i*7+g*13)%11) - 5
+		}
+		return b
+	}
+	const workers = 8
+	want := make([]Vector, workers)
+	for g := range want {
+		want[g] = rhs(g)
+		e.SolveInPlace(want[g])
+	}
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		go func(g int) {
+			for it := 0; it < 50; it++ {
+				x := rhs(g)
+				if g%2 == 0 {
+					e.SolveInPlace(x)
+				} else if err := e.SolveBatchInPlace([]Vector{x, rhs(g)}); err != nil {
+					errs <- err
+					return
+				}
+				for i := range x {
+					if x[i] != want[g][i] {
+						errs <- fmt.Errorf("worker %d iteration %d: row %d %v != %v", g, it, i, x[i], want[g][i])
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < workers; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestEnvelopeCholeskyErrors covers the rejection paths: bad orderings
+// and non-SPD input.
 func TestEnvelopeCholeskyErrors(t *testing.T) {
 	a := gridSPDCSR(6, 6)
-	if _, err := NewEnvelopeCholesky(a, []int{0, 1}, 0); !errors.Is(err, ErrDimension) {
+	if _, err := NewEnvelopeCholesky(a, []int{0, 1}); !errors.Is(err, ErrDimension) {
 		t.Errorf("short ordering: %v", err)
 	}
 	bad := make([]int, a.N)
-	if _, err := NewEnvelopeCholesky(a, bad, 0); !errors.Is(err, ErrOptions) {
+	if _, err := NewEnvelopeCholesky(a, bad); !errors.Is(err, ErrOptions) {
 		t.Errorf("duplicate ordering: %v", err)
-	}
-	if _, err := NewEnvelopeCholesky(a, nil, 1); !errors.Is(err, ErrBandwidth) {
-		t.Errorf("cap of one entry per row: %v", err)
 	}
 	// An indefinite matrix must be rejected at the pivot.
 	b := NewCSRBuilder(2)
@@ -197,47 +330,7 @@ func TestEnvelopeCholeskyErrors(t *testing.T) {
 	b.Add(0, 1, 5)
 	b.Add(1, 0, 5)
 	b.Add(1, 1, 1)
-	if _, err := NewEnvelopeCholesky(b.Build(), nil, 0); !errors.Is(err, ErrNotSPD) {
+	if _, err := NewEnvelopeCholesky(b.Build(), nil); !errors.Is(err, ErrNotSPD) {
 		t.Errorf("indefinite matrix: %v", err)
-	}
-}
-
-// TestCGBlockWithEnvelopePrec is the configuration the influence fan-out
-// runs: blocked CG under the exact factorization must converge in one or
-// two iterations and still satisfy the residual contract.
-func TestCGBlockWithEnvelopePrec(t *testing.T) {
-	a := gridSPDCSR(15, 15)
-	env, err := NewEnvelopeCholesky(a, ProfileOrder(a), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	const k = 4
-	b := make([]Vector, k)
-	for c := range b {
-		b[c] = NewVector(a.N)
-		for i := range b[c] {
-			b[c][i] = rng.NormFloat64()
-		}
-	}
-	x, stats, err := SolveCGBlock(a, b, CGOptions{Precond: env})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ax := NewVector(a.N)
-	for c := range x {
-		if stats[c].Iterations > 2 {
-			t.Errorf("column %d took %d iterations under an exact preconditioner", c, stats[c].Iterations)
-		}
-		a.MulVec(x[c], ax)
-		num, den := 0.0, 0.0
-		for i := range ax {
-			d := ax[i] - b[c][i]
-			num += d * d
-			den += b[c][i] * b[c][i]
-		}
-		if math.Sqrt(num) > 1e-9*math.Sqrt(den) {
-			t.Errorf("column %d residual %g too large", c, math.Sqrt(num)/math.Sqrt(den))
-		}
 	}
 }

@@ -13,22 +13,13 @@ import (
 // configuration (e.g. a node with no path to the ambient).
 var ErrNotSPD = errors.New("linalg: matrix is not positive definite")
 
-// Cholesky holds the lower-triangular factor L of A = L·Lᵀ. A single
-// factorization can serve any number of Solve calls, which is the access
-// pattern of the thermal code (one conductance matrix, many power maps).
-//
-// The factor is stored twice and packed: the strict lower triangle of L
-// row-major for the forward substitution, the strict upper triangle of Lᵀ
-// row-major for the backward substitution, and the diagonal once. Both
-// sweeps stream memory sequentially with no holes, so the whole factor's
-// working set is n² floats — half the dense storage — which keeps the
-// transient stepping kernels cache-resident at the figure sizes. The
-// transposed copy performs the exact same floating-point operations in
-// the same order a column sweep would; packing changes layout only.
+// Cholesky holds the lower-triangular factor L of A = L·Lᵀ for a small
+// dense matrix; SolveLeastSquares uses it on the normal equations. The
+// strict lower triangle is packed row-major and the diagonal is stored
+// once. The thermal solves go through EnvelopeCholesky instead.
 type Cholesky struct {
 	n    int
 	lp   []float64 // packed strict lower triangle of L, row i at i(i-1)/2, length i
-	utp  []float64 // packed strict upper triangle of Lᵀ (row i holds L[k][i], k>i)
 	diag []float64
 }
 
@@ -60,15 +51,7 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 			}
 		}
 	}
-	utp := make([]float64, n*(n-1)/2)
-	uoff := 0
-	for i := 0; i < n; i++ {
-		for k := i + 1; k < n; k++ {
-			utp[uoff] = lp[off(k)+i]
-			uoff++
-		}
-	}
-	return &Cholesky{n: n, lp: lp, utp: utp, diag: diag}, nil
+	return &Cholesky{n: n, lp: lp, diag: diag}, nil
 }
 
 // Size returns the dimension of the factored matrix.
@@ -85,39 +68,6 @@ func (c *Cholesky) Solve(b Vector) (Vector, error) {
 	return x, nil
 }
 
-// dot4 is the substitution kernel's dot product, unrolled eight-wide
-// (with a four-wide tail) into independent accumulators so the
-// multiply-add chains overlap instead of serializing on the FP add
-// latency. Both SolveInPlace and
-// SolveBatchInPlace go through this one helper: its accumulation order IS
-// the solver's floating-point contract, and every caller sharing it is
-// what keeps batched and single solves bit-for-bit interchangeable.
-func dot4(a, x []float64) float64 {
-	x = x[:len(a)] // one bounds check here buys check-free inner loops
-	var s0, s1, s2, s3, s4, s5, s6, s7 float64
-	k := 0
-	for ; k+8 <= len(a); k += 8 {
-		s0 += a[k] * x[k]
-		s1 += a[k+1] * x[k+1]
-		s2 += a[k+2] * x[k+2]
-		s3 += a[k+3] * x[k+3]
-		s4 += a[k+4] * x[k+4]
-		s5 += a[k+5] * x[k+5]
-		s6 += a[k+6] * x[k+6]
-		s7 += a[k+7] * x[k+7]
-	}
-	for ; k+4 <= len(a); k += 4 {
-		s0 += a[k] * x[k]
-		s1 += a[k+1] * x[k+1]
-		s2 += a[k+2] * x[k+2]
-		s3 += a[k+3] * x[k+3]
-	}
-	for ; k < len(a); k++ {
-		s0 += a[k] * x[k]
-	}
-	return ((s0 + s4) + (s1 + s5)) + ((s2 + s6) + (s3 + s7))
-}
-
 // SolveInPlace overwrites b with the solution of A·x = b. The caller must
 // guarantee len(b) == Size().
 func (c *Cholesky) SolveInPlace(b Vector) {
@@ -128,72 +78,13 @@ func (c *Cholesky) SolveInPlace(b Vector) {
 		b[i] = (b[i] - dot4(lp[off:off+i], b[:i])) / diag[i]
 		off += i
 	}
-	// Backward substitution: Lᵀ·x = y, streaming the transposed factor.
-	utp := c.utp
-	uoff := len(utp)
+	// Backward substitution: Lᵀ·x = y, one column of Lᵀ (row of L) at a
+	// time.
 	for i := n - 1; i >= 0; i-- {
-		uoff -= n - 1 - i
-		b[i] = (b[i] - dot4(utp[uoff:uoff+n-1-i], b[i+1:n])) / diag[i]
-	}
-}
-
-// SolveBatchInPlace overwrites each column with the solution of A·x = col,
-// sharing one sweep of the factor across all right-hand sides. Per column
-// the floating-point operations and their order are identical to
-// SolveInPlace, so a batched solve is bit-for-bit equal to solving the
-// columns one by one; the batching only lets independent columns overlap
-// in the inner loops. Every column must have length Size().
-func (c *Cholesky) SolveBatchInPlace(cols []Vector) error {
-	for ci, col := range cols {
-		if len(col) != c.n {
-			return fmt.Errorf("%w: Cholesky batch solve n=%d col %d len=%d", ErrDimension, c.n, ci, len(col))
+		off -= i
+		b[i] /= diag[i]
+		for k, v := range lp[off : off+i] {
+			b[k] -= v * b[i]
 		}
 	}
-	switch len(cols) {
-	case 0:
-		return nil
-	case 1:
-		c.SolveInPlace(cols[0])
-		return nil
-	}
-	n, lp, utp, diag := c.n, c.lp, c.utp, c.diag
-	// Forward substitution: L·y = col for every column. The factor row is
-	// loaded once per row of the sweep and stays cache-hot across the
-	// columns; each column runs the exact dot4 kernel SolveInPlace runs.
-	off := 0
-	for i := 0; i < n; i++ {
-		row := lp[off : off+i]
-		off += i
-		d := diag[i]
-		for _, col := range cols {
-			col[i] = (col[i] - dot4(row, col[:i])) / d
-		}
-	}
-	// Backward substitution: Lᵀ·x = y for every column.
-	uoff := len(utp)
-	for i := n - 1; i >= 0; i-- {
-		uoff -= n - 1 - i
-		row := utp[uoff : uoff+n-1-i]
-		d := diag[i]
-		for _, col := range cols {
-			col[i] = (col[i] - dot4(row, col[i+1:n])) / d
-		}
-	}
-	return nil
-}
-
-// Inverse returns A⁻¹ computed column by column. This is O(n³) and is only
-// used to materialize the thermal-influence matrix once per configuration.
-func (c *Cholesky) Inverse() *Matrix {
-	inv := NewMatrix(c.n, c.n)
-	e := NewVector(c.n)
-	for j := 0; j < c.n; j++ {
-		e.Fill(0)
-		e[j] = 1
-		c.SolveInPlace(e)
-		for i := 0; i < c.n; i++ {
-			inv.Set(i, j, e[i])
-		}
-	}
-	return inv
 }

@@ -175,31 +175,6 @@ func TestCholeskyErrors(t *testing.T) {
 	}
 }
 
-func TestCholeskyInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randomSPD(8, rng)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv := ch.Inverse()
-	prod, err := a.Mul(inv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if !almostEqual(prod.At(i, j), want, 1e-8) {
-				t.Fatalf("A·A⁻¹[%d,%d] = %v", i, j, prod.At(i, j))
-			}
-		}
-	}
-}
-
 func TestLUSolveAndDet(t *testing.T) {
 	a := NewMatrix(3, 3)
 	vals := [][]float64{{2, 1, 1}, {4, -6, 0}, {-2, 7, 2}}

@@ -9,7 +9,7 @@ import (
 
 // CSR is a compressed-sparse-row matrix. Thermal conductance matrices are
 // extremely sparse (≈7 nonzeros per row: self, 4 lateral neighbours, up
-// and down), so iterative solves on CSR scale to chips far beyond what a
+// and down), so sparse solves on CSR scale to chips far beyond what a
 // dense Cholesky handles comfortably. Column indices are ascending within
 // each row.
 type CSR struct {

@@ -383,8 +383,9 @@ func (s *Server) runFlight(key, id string, params map[string]string, c *call, fn
 var transientFigures = map[string]bool{"fig11": true, "fig12": true, "fig13": true}
 
 // maxTSPCores caps the platform size /v1/tsp will build. With the
-// sparse-first thermal solver the model itself is O(nnz), and the
-// remaining quadratic allocation is the block×block influence matrix
+// sparse direct thermal factor the model itself stays far below
+// quadratic size, and the quadratic allocation is the block×block
+// influence matrix
 // (~134 MB at this cap), so an unbounded query parameter would still let
 // one request exhaust memory; the paper's largest platform (8 nm) has
 // 361 cores, far below this limit.

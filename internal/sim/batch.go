@@ -64,8 +64,8 @@ func (l *batchLane) evalPower(p *core.Platform, mode core.PowerMode) error {
 
 // RunBatch simulates every lane in lockstep on one platform, sharing
 // each control period's thermal solve across lanes through the batched
-// transient kernel (on the dense path one sweep of the cached factor
-// serves all lanes' right-hand sides). Every lane runs the exact
+// transient kernel (below the thermal node gate one sweep of the cached
+// direct factor serves all lanes' right-hand sides). Every lane runs the exact
 // per-period engine — StepMode is ignored — and its Result is
 // bit-for-bit identical to Run(p, lane.Plan, lane.Ctrl, ladder, opt)
 // under StepExact; the boost-arm differential test pins that. Observer

@@ -7,17 +7,17 @@ import (
 )
 
 // TransientBatch steps several independent temperature states of one
-// (model, dt) pair in lockstep. All states share the cached
-// factorization; on the dense path the per-state triangular solves are
-// batched through linalg.SolveBatchInPlace, which streams each factor
-// row once across all states instead of once per state. Per state the
-// arithmetic is bit-for-bit identical to calling Transient.Step — the
-// policy sandbox relies on that to race policies in lockstep without
-// perturbing any policy's trace.
+// (model, dt) pair in lockstep. All states share the cached factor; up
+// to directNodeGate nodes the per-state solves are batched through
+// EnvelopeCholesky.SolveBatchInPlace, which streams each factor row once
+// across all states instead of once per state. Per state the arithmetic
+// is bit-for-bit identical to calling Transient.Step — the policy
+// sandbox and sim.RunBatch rely on that to run lanes in lockstep without
+// perturbing any lane's trace.
 type TransientBatch struct {
 	m    *Model
 	trs  []*Transient
-	cols []linalg.Vector // reused dense-path batch view
+	cols []linalg.Vector // reused batch view
 }
 
 // NewTransientBatch creates k transient integrators sharing one cached
@@ -56,11 +56,10 @@ func (b *TransientBatch) StepAll(powers [][]float64, active []bool, temps [][]fl
 	}
 	live := func(i int) bool { return active == nil || active[i] }
 
-	dense := b.trs[0].cgs == nil
-	if !dense {
-		// Sparse path: each state's warm-started CG solve depends on its
-		// own previous iterate, so states step independently — exactly as
-		// Transient.Step would.
+	if b.trs[0].cgs != nil {
+		// Above the gate: each state's warm-started CG solve depends on
+		// its own previous iterate, so states step independently —
+		// exactly as Transient.Step would.
 		for i, tr := range b.trs {
 			if !live(i) {
 				continue
@@ -74,7 +73,7 @@ func (b *TransientBatch) StepAll(powers [][]float64, active []bool, temps [][]fl
 		return nil
 	}
 
-	// Dense path: assemble every live right-hand side, then solve them
+	// Direct path: assemble every live right-hand side, then solve them
 	// as one batch against the shared factor.
 	b.cols = b.cols[:0]
 	for i, tr := range b.trs {
@@ -93,14 +92,14 @@ func (b *TransientBatch) StepAll(powers [][]float64, active []bool, temps [][]fl
 	if len(b.cols) == 0 {
 		return nil
 	}
-	if err := b.trs[0].tf.fac.chol.SolveBatchInPlace(b.cols); err != nil {
+	if err := b.trs[0].tf.direct.SolveBatchInPlace(b.cols); err != nil {
 		return err
 	}
+	b.m.counters.solves.Add(uint64(len(b.cols)))
 	for i, tr := range b.trs {
 		if !live(i) {
 			continue
 		}
-		tr.tf.fac.record(linalg.CGStats{})
 		tr.t, tr.rhs = tr.rhs, tr.t
 		tr.m.blockTempsInto(temps[i], tr.t)
 	}

@@ -7,48 +7,33 @@ import (
 	"darksim/internal/floorplan"
 )
 
-// benchThermalSolve measures a cold steady-state solve — model
-// construction, factorization/preconditioning and one solve — on an
-// n×n-core platform with the given solver path forced. The cold solve is
-// the honest cost comparison: the dense path pays an O(n³) factorization
-// the sparse path replaces with an O(nnz) preconditioner plus a few dozen
-// CG iterations.
-func benchThermalSolve(b *testing.B, side int, k SolverKind) {
-	fp, err := floorplan.NewGrid(side, side, 5.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig(fp.DieW, fp.DieH, side, side)
-	cfg.Solver = k
-	p := make([]float64, side*side)
-	for i := range p {
-		p[i] = 2
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := NewModel(fp, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.SteadyState(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkThermalSolveDense(b *testing.B) {
+// BenchmarkThermalSolve measures a cold steady-state solve — model
+// construction, the direct factorization and one solve — on a 100-core
+// platform (364 nodes, below the node gate) and a 576-core one (1316
+// nodes, above it).
+func BenchmarkThermalSolve(b *testing.B) {
 	for _, side := range []int{10, 24} {
 		b.Run(fmt.Sprintf("cores=%d", side*side), func(b *testing.B) {
-			benchThermalSolve(b, side, SolverDense)
-		})
-	}
-}
-
-func BenchmarkThermalSolveSparse(b *testing.B) {
-	for _, side := range []int{10, 24} {
-		b.Run(fmt.Sprintf("cores=%d", side*side), func(b *testing.B) {
-			benchThermalSolve(b, side, SolverSparse)
+			fp, err := floorplan.NewGrid(side, side, 5.1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := DefaultConfig(fp.DieW, fp.DieH, side, side)
+			p := make([]float64, side*side)
+			for i := range p {
+				p[i] = 2
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, err := NewModel(fp, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := m.SteadyState(p); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

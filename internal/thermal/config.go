@@ -5,11 +5,11 @@
 // convection boundary to the ambient.
 //
 // The conductance matrix is assembled directly in CSR form; steady state
-// solves the SPD linear system G·T = P (+ ambient coupling) behind a
-// solver seam chosen at construction — dense Cholesky for small stacks,
-// IC(0)-preconditioned conjugate gradients for large ones. The transient
-// solver uses unconditionally stable implicit Euler, re-using one cached
-// factorization (or preconditioner) per step size. Both expose per-core
+// solves the SPD linear system G·T = P (+ ambient coupling) through one
+// direct envelope Cholesky factor under a profile ordering. The
+// transient solver uses unconditionally stable implicit Euler, re-using
+// one cached factor per step size (above a node gate, one IC(0)
+// preconditioner for warm-started CG steps). Both expose per-core
 // (floorplan block) temperatures.
 //
 // The default configuration reproduces the paper's §2.1 HotSpot setup:
@@ -64,17 +64,6 @@ type Config struct {
 	ConvectionC float64
 	// AmbientC is the ambient temperature in °C.
 	AmbientC float64
-	// Solver selects the linear-solver path. The zero value (SolverAuto)
-	// picks dense Cholesky for small stacks and sparse preconditioned CG
-	// above sparseNodeThreshold nodes.
-	Solver SolverKind
-	// InfluencePanel sets how many influence-matrix columns the sparse
-	// path solves per blocked-CG pass. Zero picks the default width,
-	// 1 forces the historical one-column-at-a-time fan-out, larger
-	// values widen the panel. The blocked solver reproduces per-column
-	// arithmetic exactly, so this knob trades throughput only. Ignored
-	// on the dense path.
-	InfluencePanel int
 }
 
 // Paper §2.1 stack geometry.
@@ -161,12 +150,6 @@ func (c Config) Validate() error {
 	}
 	if c.ConvectionC < 0 {
 		return fmt.Errorf("%w: convection capacitance must be non-negative", ErrConfig)
-	}
-	if c.Solver < SolverAuto || c.Solver > SolverSparse {
-		return fmt.Errorf("%w: unknown solver kind %d", ErrConfig, int(c.Solver))
-	}
-	if c.InfluencePanel < 0 {
-		return fmt.Errorf("%w: negative influence panel width %d", ErrConfig, c.InfluencePanel)
 	}
 	return nil
 }

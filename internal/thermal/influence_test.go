@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -13,24 +12,6 @@ import (
 	"darksim/internal/floorplan"
 	"darksim/internal/linalg"
 )
-
-// sparseModelWithPanel builds the 100-core platform on the forced sparse
-// path with the given influence panel width.
-func sparseModelWithPanel(t testing.TB, panel int) *Model {
-	t.Helper()
-	fp, err := floorplan.NewGrid(10, 10, 5.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(fp.DieW, fp.DieH, 10, 10)
-	cfg.Solver = SolverSparse
-	cfg.InfluencePanel = panel
-	m, err := NewModel(fp, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
 
 // TestInfluenceRetryAfterFailure is the regression test for the old
 // sync.Once poisoning: a transient solve failure must not be memoized —
@@ -68,14 +49,14 @@ func TestInfluenceRetryAfterFailure(t *testing.T) {
 	}
 }
 
-// TestInfluenceBlockedFailureNamesColumn pins the blocked path's error
+// TestInfluenceBlockedFailureNamesColumn pins the batched panels' error
 // shape: the reported column is the original (global) column index, not
 // the panel-local one.
 func TestInfluenceBlockedFailureNamesColumn(t *testing.T) {
 	ResetInfluenceCache()
 	defer func() { influenceSolveHook = nil }()
 
-	m := sparseModelWithPanel(t, 8)
+	m := model16(t)
 	boom := errors.New("injected solve failure")
 	influenceSolveHook = func(col int) error {
 		if col == 42 {
@@ -97,15 +78,13 @@ func TestInfluenceBlockedFailureNamesColumn(t *testing.T) {
 // and surface context.Canceled, and a later call with a live context
 // must recover.
 func TestInfluenceCancelStopsWork(t *testing.T) {
-	if runtime.NumCPU() >= 100 {
-		t.Skip("worker pool as wide as the column count; cancellation cannot save work")
+	if runtime.NumCPU() >= 100/influencePanel {
+		t.Skip("worker pool as wide as the panel count; cancellation cannot save work")
 	}
 	ResetInfluenceCache()
 	defer func() { influenceSolveHook = nil }()
 
-	// Panel width 1 keeps one column per work item, the finest
-	// cancellation granularity.
-	m := sparseModelWithPanel(t, 1)
+	m := model16(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
 	influenceSolveHook = func(col int) error {
@@ -127,46 +106,34 @@ func TestInfluenceCancelStopsWork(t *testing.T) {
 	}
 }
 
-// TestInfluenceBlockedMatchesColumns is the differential between the two
-// sparse fan-outs. The per-column path iterates IC(0)-preconditioned CG
-// while the blocked path amortizes an exact envelope factorization, so
-// the two agree to solver tolerance (1e-9 relative), not bitwise. Among
-// themselves, blocked widths must be bit-identical — each column's
-// arithmetic is performed in the same per-column order at every width —
-// which is what lets the cache key ignore the panel width.
+// TestInfluenceBlockedMatchesColumns pins the batched influence build
+// to one-column-at-a-time solves against the same factor, bit for bit:
+// a batched sweep performs each column's arithmetic in the solo order,
+// whatever panel a column lands in.
 func TestInfluenceBlockedMatchesColumns(t *testing.T) {
 	ResetInfluenceCache()
-	cols := sparseModelWithPanel(t, 1)
-	ref, err := cols.InfluenceMatrix(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drop the cached entry so every build below is a real computation.
-	ResetInfluenceCache()
-	var blkRef *linalg.Matrix
-	for _, panel := range []int{2, 7, 16, 100, 200} {
-		blk := sparseModelWithPanel(t, panel)
-		got, err := blk.InfluenceMatrix(context.Background())
+	for _, side := range []int{4, 10} {
+		m := gridModel(t, side)
+		got, err := m.InfluenceMatrix(context.Background())
 		if err != nil {
-			t.Fatalf("panel %d: %v", panel, err)
+			t.Fatal(err)
 		}
-		for i := 0; i < ref.Rows; i++ {
-			for j := 0; j < ref.Cols; j++ {
-				want := ref.At(i, j)
-				if diff := math.Abs(got.At(i, j) - want); diff > 1e-9*math.Max(1, math.Abs(want)) {
-					t.Fatalf("panel %d: influence differs at (%d,%d): %v vs %v",
-						panel, i, j, got.At(i, j), want)
-				}
-				if blkRef != nil && got.At(i, j) != blkRef.At(i, j) {
-					t.Fatalf("panel %d: blocked widths disagree at (%d,%d): %v vs %v",
-						panel, i, j, got.At(i, j), blkRef.At(i, j))
-				}
+		nb := m.NumBlocks()
+		ref := linalg.NewMatrix(nb, nb)
+		col := linalg.NewVector(m.NumNodes())
+		for j := 0; j < nb; j++ {
+			m.fillColumnRHS(col, j)
+			m.steady.SolveInPlace(col)
+			m.readColumn(ref, col, j)
+		}
+		for i := range ref.Data {
+			if got.Data[i] != ref.Data[i] {
+				t.Fatalf("%d blocks: influence entry %d batched %v != per-column %v", nb, i, got.Data[i], ref.Data[i])
 			}
 		}
-		if blkRef == nil {
-			blkRef = got
+		if st := m.SolverStats(); st.Solves != uint64(nb)+1 {
+			t.Errorf("%d blocks: %d solves, want one per column plus the ambient field", nb, st.Solves)
 		}
-		ResetInfluenceCache()
 	}
 }
 
@@ -175,7 +142,7 @@ func TestInfluenceBlockedMatchesColumns(t *testing.T) {
 // matrix from the process-wide cache without a single linear solve.
 func TestInfluenceWarmPathZeroSolves(t *testing.T) {
 	ResetInfluenceCache()
-	cold := sparseModelWithPanel(t, 0)
+	cold := model16(t)
 	first, err := cold.InfluenceMatrix(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +152,7 @@ func TestInfluenceWarmPathZeroSolves(t *testing.T) {
 		t.Fatalf("after cold build: %+v", st)
 	}
 
-	warm := sparseModelWithPanel(t, 0)
+	warm := model16(t)
 	before := warm.SolverStats().Solves
 	second, err := warm.InfluenceMatrix(context.Background())
 	if err != nil {
@@ -202,29 +169,18 @@ func TestInfluenceWarmPathZeroSolves(t *testing.T) {
 	}
 }
 
-// TestInfluenceCacheKey checks the content hash separates what it must
-// (boundary conditions, solver path, floorplan) and unifies what it may
-// (panel width).
+// TestInfluenceCacheKey checks the content hash unifies equal platforms
+// and separates what it must (boundary conditions, floorplan).
 func TestInfluenceCacheKey(t *testing.T) {
-	base := sparseModelWithPanel(t, 0)
-	widened := sparseModelWithPanel(t, 4)
-	if base.influenceKey() != widened.influenceKey() {
-		t.Errorf("panel width changed the cache key")
-	}
-	dense := modelWithSolver(t, SolverDense)
-	if base.influenceKey() == dense.influenceKey() {
-		t.Errorf("solver path does not separate cache keys")
-	}
-	legacy := sparseModelWithPanel(t, 1)
-	if base.influenceKey() == legacy.influenceKey() {
-		t.Errorf("per-column and blocked paths share a cache key")
+	base := model16(t)
+	if base.influenceKey() != model16(t).influenceKey() {
+		t.Errorf("equal platforms have different cache keys")
 	}
 	fp, err := floorplan.NewGrid(10, 10, 5.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hot := DefaultConfig(fp.DieW, fp.DieH, 10, 10)
-	hot.Solver = SolverSparse
 	hot.AmbientC += 1
 	mh, err := NewModel(fp, hot)
 	if err != nil {
@@ -233,17 +189,7 @@ func TestInfluenceCacheKey(t *testing.T) {
 	if base.influenceKey() == mh.influenceKey() {
 		t.Errorf("ambient temperature does not separate cache keys")
 	}
-	small, err := floorplan.NewGrid(9, 9, 5.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg := DefaultConfig(small.DieW, small.DieH, 9, 9)
-	scfg.Solver = SolverSparse
-	ms, err := NewModel(small, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.influenceKey() == ms.influenceKey() {
+	if base.influenceKey() == gridModel(t, 9).influenceKey() {
 		t.Errorf("floorplan does not separate cache keys")
 	}
 }
@@ -255,25 +201,12 @@ func TestInfluenceCacheEviction(t *testing.T) {
 	prev := SetInfluenceCacheCap(1)
 	defer SetInfluenceCacheCap(prev)
 
-	builds := []func(testing.TB, int) *Model{
-		sparseModelWithPanel,
-		func(t testing.TB, panel int) *Model {
-			fp, err := floorplan.NewGrid(9, 9, 5.1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := DefaultConfig(fp.DieW, fp.DieH, 9, 9)
-			cfg.Solver = SolverSparse
-			cfg.InfluencePanel = panel
-			m, err := NewModel(fp, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m
-		},
+	builds := []func(testing.TB) *Model{
+		model16,
+		func(t testing.TB) *Model { return gridModel(t, 9) },
 	}
 	for _, build := range builds {
-		if _, err := build(t, 0).InfluenceMatrix(context.Background()); err != nil {
+		if _, err := build(t).InfluenceMatrix(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -281,7 +214,7 @@ func TestInfluenceCacheEviction(t *testing.T) {
 		t.Fatalf("cap-1 cache after two platforms: %+v", st)
 	}
 	// The first platform was evicted by the second: rebuilding it misses.
-	if _, err := builds[0](t, 0).InfluenceMatrix(context.Background()); err != nil {
+	if _, err := builds[0](t).InfluenceMatrix(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if st := InfluenceCacheStats(); st.Misses != 3 {
@@ -291,25 +224,11 @@ func TestInfluenceCacheEviction(t *testing.T) {
 	// Cap 0 disables caching entirely.
 	ResetInfluenceCache()
 	SetInfluenceCacheCap(0)
-	if _, err := builds[0](t, 0).InfluenceMatrix(context.Background()); err != nil {
+	if _, err := builds[0](t).InfluenceMatrix(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if st := InfluenceCacheStats(); st.Entries != 0 {
 		t.Fatalf("disabled cache stored an entry: %+v", st)
-	}
-}
-
-func TestInfluencePanelValidate(t *testing.T) {
-	cfg := DefaultConfig(0.02, 0.02, 4, 4)
-	cfg.InfluencePanel = -1
-	if err := cfg.Validate(); err == nil {
-		t.Errorf("negative panel width should fail validation")
-	}
-	for _, p := range []int{0, 1, 16} {
-		cfg.InfluencePanel = p
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("panel width %d rejected: %v", p, err)
-		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package thermal
 
 import (
-	"fmt"
-
 	"darksim/internal/linalg"
 )
 
@@ -14,17 +12,18 @@ import (
 //
 // so k quiet steps collapse to T ← Mᵏ·T + S_k·b in O(log k) matrix
 // applies via the linalg.AffinePowers ladder. The kernel is cached per
-// (model, dt) on the transFactor, next to the factorization it derives
-// from; sparse models get a one-off dense factorization of (C/dt+G) for
-// the inverse, which the node-count gate keeps affordable.
+// (model, dt) on the transFactor, next to the direct factor whose
+// batched identity solves build M and whose solves give b per advance.
+// Above directNodeGate there is no direct transient factor and the dense
+// M (O(n²) per apply) stops paying for itself, so MacroStep falls back
+// to repeated exact steps there. All paper platforms that macro-step (364- and 560-node
+// models) sit below the gate.
+
+// macroPanel is how many identity columns one batched solve of the
+// inverse build sweeps at once.
+const macroPanel = 16
 
 const (
-	// macroNodeLimit gates kernel construction: above it the dense
-	// inverse (O(n³) build, O(n²) per apply) stops paying for itself and
-	// MacroStep falls back to repeated exact steps. All paper platforms
-	// that macro-step (364- and 584-node models) sit below the gate.
-	macroNodeLimit = 768
-
 	// macroMemBudgetBytes caps the ladder's matrix memory (each rung and
 	// each memoized composite hop is two n×n float64 matrices).
 	macroMemBudgetBytes = 96 << 20
@@ -35,64 +34,52 @@ const (
 	macroMinSteps = 4
 )
 
-// macroKernel is the per-(model, dt) fast-path state.
-type macroKernel struct {
-	ainv   *linalg.Matrix // (C/dt + G)⁻¹, dense
-	powers *linalg.AffinePowers
-}
-
-// kernel returns the macro kernel for this factor, building it on first
-// use. A nil kernel with nil error means the model is above the macro
-// gate and callers must use the exact path; a build error is sticky.
-func (tf *transFactor) kernel(m *Model) (*macroKernel, error) {
+// kernel returns the macro ladder for this factor, building it on first
+// use. A nil ladder with nil error means there is no direct transient
+// factor (the model is above the node gate) and callers must use the
+// exact path; a build error is sticky.
+func (tf *transFactor) kernel() (*linalg.AffinePowers, error) {
 	tf.macroMu.Lock()
 	defer tf.macroMu.Unlock()
 	if tf.macroUp {
 		return tf.macro, tf.macroErr
 	}
 	tf.macroUp = true
-	n := len(m.cells)
-	if n > macroNodeLimit {
+	if tf.direct == nil {
 		return nil, nil
 	}
-	tf.macro, tf.macroErr = buildMacroKernel(m, tf)
+	tf.macro, tf.macroErr = buildMacroKernel(tf)
 	return tf.macro, tf.macroErr
 }
 
-// buildMacroKernel materializes (C/dt+G)⁻¹ and the affine-powers ladder.
-func buildMacroKernel(m *Model, tf *transFactor) (*macroKernel, error) {
-	n := len(m.cells)
-	var chol *linalg.Cholesky
-	if !tf.fac.sparse() {
-		chol = tf.fac.chol
-	} else {
-		// The sparse path never materializes (C/dt+G) densely; do it
-		// once here — the node gate keeps this a sub-second, few-MB
-		// detour that the whole sweep then shares.
-		a, err := m.gs.AddDiagonal(tf.capDt)
-		if err != nil {
+// buildMacroKernel materializes the step matrix M = (C/dt+G)⁻¹·(C/dt)
+// and its affine-powers ladder.
+func buildMacroKernel(tf *transFactor) (*linalg.AffinePowers, error) {
+	n := tf.direct.Size()
+	// M = A⁻¹·(C/dt), column by column: batched solves of identity
+	// panels give the columns of A⁻¹, column j is scaled by capDt[j].
+	step := linalg.NewMatrix(n, n)
+	cols := make([]linalg.Vector, macroPanel)
+	for c := range cols {
+		cols[c] = linalg.NewVector(n)
+	}
+	for j0 := 0; j0 < n; j0 += macroPanel {
+		panel := cols[:min(macroPanel, n-j0)]
+		for c, col := range panel {
+			col.Fill(0)
+			col[j0+c] = 1
+		}
+		if err := tf.direct.SolveBatchInPlace(panel); err != nil {
 			return nil, err
 		}
-		chol, err = linalg.NewCholesky(a.Dense())
-		if err != nil {
-			return nil, fmt.Errorf("thermal: macro kernel factorization: %w", err)
+		for c, col := range panel {
+			j := j0 + c
+			for i, v := range col {
+				step.Data[i*n+j] = v * tf.capDt[j]
+			}
 		}
 	}
-	ainv := chol.Inverse()
-	// M = A⁻¹·(C/dt): scale column j by capDt[j].
-	step := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		arow := ainv.Data[i*n : (i+1)*n]
-		srow := step.Data[i*n : (i+1)*n]
-		for j, v := range arow {
-			srow[j] = v * tf.capDt[j]
-		}
-	}
-	powers, err := linalg.NewAffinePowers(step, ladderDepth(n))
-	if err != nil {
-		return nil, err
-	}
-	return &macroKernel{ainv: ainv, powers: powers}, nil
+	return linalg.NewAffinePowers(step, ladderDepth(n))
 }
 
 // ladderDepth picks the deepest repeated-squaring ladder whose rungs fit

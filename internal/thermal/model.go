@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"darksim/internal/floorplan"
 	"darksim/internal/linalg"
@@ -27,18 +28,22 @@ type Model struct {
 
 	// gs is the symmetric conductance matrix in CSR form, including
 	// ambient coupling on the diagonal; steady state solves
-	// gs·T = P + gAmb·Tamb. It is the only stored form of the matrix —
-	// the dense n×n representation is never materialized on the sparse
-	// path, which is what lets the model scale to thousands of cores
-	// with O(nnz) assembly memory.
+	// gs·T = P + gAmb·Tamb. The dense n×n representation is never
+	// materialized, which is what lets the model scale to thousands of
+	// cores with O(nnz) assembly memory.
 	gs     *linalg.CSR
 	ambRHS linalg.Vector // gAmb·Tamb per node
 
-	// steady is the factored steady-state system behind the solver
-	// seam: dense Cholesky below sparseNodeThreshold nodes, IC(0)-
-	// preconditioned CG above (see Config.Solver to force a path).
-	steady   *factor
+	// steady is the direct factor of gs under its profile ordering;
+	// every steady-state and influence solve runs through it.
+	steady   *linalg.EnvelopeCholesky
 	counters solveCounters
+
+	// cgTransients selects warm-started CG for transient steps; it is
+	// set above directNodeGate nodes. Tests set it on small models to
+	// exercise that path, which then keep their direct transient factor
+	// for the macro ladder.
+	cgTransients bool
 
 	// ambNodes is the zero-power steady state (≈ ambient everywhere),
 	// solved once at construction; it seeds transients and AmbientField.
@@ -65,17 +70,21 @@ type Model struct {
 	transFacs map[float64]*transFactor
 }
 
-// transFactor bundles the per-dt transient system: the factored
-// (C/dt + G) matrix and the C/dt diagonal. The macro-stepping kernel
-// (see macro.go) is cached here, next to the factor, so every transient
-// over one (model, dt) pair — a sweep's worth of boosting runs — shares
-// one inverse and one ladder of affine powers.
+// transFactor bundles the per-dt transient system (C/dt + G) and the
+// C/dt diagonal. Up to directNodeGate nodes the system is held as its
+// direct factor; with cgTransients (above the gate) as the CSR matrix
+// and the preconditioner the warm-started CG steps use. The macro
+// ladder (see macro.go) is cached here, next to the factor, so every
+// transient over one (model, dt) pair — a sweep's worth of boosting
+// runs — shares one ladder of affine powers.
 type transFactor struct {
-	fac   *factor
-	capDt linalg.Vector
+	capDt  linalg.Vector
+	direct *linalg.EnvelopeCholesky
+	a      *linalg.CSR
+	prec   linalg.Preconditioner
 
 	macroMu  sync.Mutex
-	macro    *macroKernel
+	macro    *linalg.AffinePowers
 	macroErr error
 	macroUp  bool // a build was attempted; macro/macroErr are final
 }
@@ -87,9 +96,7 @@ type cellShare struct {
 }
 
 // NewModel discretizes the stack, assembles the conductance matrix
-// directly in sparse form and prepares the solver path selected by
-// cfg.Solver (dense Cholesky for small models, preconditioned CG above
-// sparseNodeThreshold nodes).
+// directly in sparse form and factors it.
 func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -103,56 +110,44 @@ func NewModel(fp *floorplan.Floorplan, cfg Config) (*Model, error) {
 	if err := m.bindFloorplan(); err != nil {
 		return nil, err
 	}
-	var (
-		fac *factor
-		err error
-	)
-	if m.useSparse() {
-		fac, err = newSparseFactor(m.gs, &m.counters)
-	} else {
-		fac, err = newDenseFactor(m.gs.Dense(), &m.counters)
-	}
+	steady, err := newDirect(m.gs, &m.counters)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: conductance matrix not SPD (disconnected node?): %w", err)
 	}
-	m.steady = fac
-	// Solve the zero-power steady state once; it doubles as an early
-	// convergence check of the iterative path.
-	amb := m.ambRHS.Clone()
-	if err := m.steady.solveInPlace(amb); err != nil {
-		return nil, err
-	}
-	m.ambNodes = amb
+	m.steady = steady
+	m.cgTransients = len(m.cells) > directNodeGate
+	// Solve the zero-power steady state once; it seeds transients and
+	// AmbientField.
+	m.ambNodes = m.ambRHS.Clone()
+	m.solveSteady(m.ambNodes)
 	return m, nil
 }
 
-// useSparse resolves the configured SolverKind to a concrete path.
-func (m *Model) useSparse() bool {
-	switch m.cfg.Solver {
-	case SolverDense:
-		return false
-	case SolverSparse:
-		return true
-	}
-	return len(m.cells) > sparseNodeThreshold
+// solveSteady overwrites b with gs⁻¹·b. It is safe for concurrent use.
+func (m *Model) solveSteady(b linalg.Vector) {
+	m.steady.SolveInPlace(b)
+	m.counters.solves.Add(1)
 }
 
-// SolverPath reports which solver the model selected: "dense" or
-// "sparse".
+// SolverPath reports the model's solver path: "direct" up to
+// directNodeGate nodes, "sparse" above it, where transient steps run
+// preconditioned CG (steady and influence solves are direct on both).
 func (m *Model) SolverPath() string {
-	if m.steady.sparse() {
+	if m.cgTransients {
 		return "sparse"
 	}
-	return "dense"
+	return "direct"
 }
 
 // SolverStats snapshots the linear-solver work performed so far by this
 // model and its transients.
 func (m *Model) SolverStats() SolverStats {
 	return SolverStats{
-		Path:         m.SolverPath(),
-		Solves:       m.counters.solves.Load(),
-		CGIterations: m.counters.iterations.Load(),
+		Path:          m.SolverPath(),
+		Solves:        m.counters.solves.Load(),
+		CGIterations:  m.counters.iterations.Load(),
+		FactorEntries: m.steady.Profile(),
+		FactorMS:      float64(m.counters.factorNanos.Load()) / float64(time.Millisecond),
 	}
 }
 
@@ -300,17 +295,30 @@ func (m *Model) bindFloorplan() error {
 			ErrConfig, m.fp.DieW, m.fp.DieH, die.W, die.H)
 	}
 	m.blockCells = make([][]cellShare, len(m.fp.Blocks))
+	cw, ch := die.W/float64(die.Nx), die.H/float64(die.Ny)
+	dieIdx := m.layers[0]
 	for bi, b := range m.fp.Blocks {
 		bc := cell{x: b.X + offX, y: b.Y + offY, w: b.W, h: b.H}
+		// Candidate die-cell window covering the block, padded by one
+		// cell against floating-point edge cases (as in the vertical
+		// coupling); row-major order keeps the shares in ascending node
+		// order.
+		ix0 := clampGrid(int(math.Floor((bc.x+die.W/2)/cw))-1, die.Nx)
+		ix1 := clampGrid(int(math.Floor((bc.x+bc.w+die.W/2)/cw))+1, die.Nx)
+		iy0 := clampGrid(int(math.Floor((bc.y+die.H/2)/ch))-1, die.Ny)
+		iy1 := clampGrid(int(math.Floor((bc.y+bc.h+die.H/2)/ch))+1, die.Ny)
 		var total float64
 		var shares []cellShare
-		for _, ci := range m.layers[0] {
-			ov := overlap(bc, m.cells[ci])
-			if ov <= 0 {
-				continue
+		for iy := iy0; iy <= iy1; iy++ {
+			for ix := ix0; ix <= ix1; ix++ {
+				ci := dieIdx[iy*die.Nx+ix]
+				ov := overlap(bc, m.cells[ci])
+				if ov <= 0 {
+					continue
+				}
+				shares = append(shares, cellShare{node: ci, fraction: ov})
+				total += ov
 			}
-			shares = append(shares, cellShare{node: ci, fraction: ov})
-			total += ov
 		}
 		if total <= 0 {
 			return fmt.Errorf("%w: block %q does not overlap the die grid", ErrConfig, b.Name)
@@ -358,14 +366,31 @@ func (m *Model) nodePowerInto(dst linalg.Vector, blockPower []float64) error {
 	dst.Fill(0)
 	for bi, shares := range m.blockCells {
 		pw := blockPower[bi]
-		if pw < 0 {
-			return fmt.Errorf("thermal: negative power %g W for block %d", pw, bi)
+		if pw < 0 || math.IsNaN(pw) || math.IsInf(pw, 0) {
+			return &PowerError{Block: bi, Watts: pw}
 		}
 		for _, s := range shares {
 			dst[s.node] += pw * s.fraction
 		}
 	}
 	return nil
+}
+
+// PowerError reports a block power the model cannot accept: negative,
+// NaN or infinite. Every steady and transient entry point rejects it
+// before it reaches a factor, where a NaN would otherwise turn silently
+// into NaN temperatures.
+type PowerError struct {
+	Block int
+	Watts float64
+}
+
+func (e *PowerError) Error() string {
+	kind := "negative"
+	if math.IsNaN(e.Watts) || math.IsInf(e.Watts, 0) {
+		kind = "non-finite"
+	}
+	return fmt.Sprintf("thermal: %s power %g W for block %d", kind, e.Watts, e.Block)
 }
 
 // blockTemps reduces node temperatures to per-block temperatures.
@@ -404,9 +429,7 @@ func (m *Model) SteadyStateNodes(blockPower []float64) (linalg.Vector, error) {
 		return nil, err
 	}
 	p.AddScaled(1, m.ambRHS)
-	if err := m.steady.solveInPlace(p); err != nil {
-		return nil, err
-	}
+	m.solveSteady(p)
 	return p, nil
 }
 
@@ -427,23 +450,6 @@ func (m *Model) AmbientField() []float64 {
 	return m.blockTemps(m.ambNodes)
 }
 
-// SteadyStateIterative solves the steady state with the sparse
-// preconditioned-CG path regardless of the model's selected solver. It
-// is retained for differential testing of the two paths; SteadyState is
-// the production entry point and already uses CG on large models.
-func (m *Model) SteadyStateIterative(blockPower []float64) ([]float64, error) {
-	p, err := m.nodePower(blockPower)
-	if err != nil {
-		return nil, err
-	}
-	p.AddScaled(1, m.ambRHS)
-	x, _, err := linalg.SolveCG(m.gs, p, linalg.CGOptions{Tol: 1e-11})
-	if err != nil {
-		return nil, err
-	}
-	return m.blockTemps(x), nil
-}
-
 // transientFactor returns (building and caching on first use) the
 // factored implicit-Euler system for step size dt. The cache makes
 // repeated transients over one model — a sweep of boosting runs, or
@@ -459,27 +465,21 @@ func (m *Model) transientFactor(dt float64) (*transFactor, error) {
 	for i, c := range m.cells {
 		capDt[i] = c.capJK / dt
 	}
-	var (
-		fac *factor
-		err error
-	)
-	if m.steady.sparse() {
-		a, aerr := m.gs.AddDiagonal(capDt)
-		if aerr != nil {
-			return nil, aerr
-		}
-		fac, err = newSparseFactor(a, &m.counters)
-	} else {
-		a := m.gs.Dense()
-		for i := 0; i < n; i++ {
-			a.Add(i, i, capDt[i])
-		}
-		fac, err = newDenseFactor(a, &m.counters)
+	a, err := m.gs.AddDiagonal(capDt)
+	if err != nil {
+		return nil, err
+	}
+	tf := &transFactor{capDt: capDt}
+	if n <= directNodeGate {
+		tf.direct, err = newDirect(a, &m.counters)
+	}
+	if err == nil && m.cgTransients {
+		tf.a = a
+		tf.prec, err = newPreconditioner(a)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("thermal: transient matrix not SPD: %w", err)
 	}
-	tf := &transFactor{fac: fac, capDt: capDt}
 	m.transFacs[dt] = tf
 	return tf, nil
 }

@@ -1,165 +1,111 @@
 package thermal
 
 import (
-	"fmt"
-	"sync"
 	"sync/atomic"
+	"time"
 
 	"darksim/internal/linalg"
 )
 
-// SolverKind selects the linear-solver path of a Model.
-type SolverKind int
+// directNodeGate is the model size up to which every linear solve runs
+// through the direct envelope Cholesky factor: steady state, influence
+// columns, transient steps, lockstep batches and the macro ladder's
+// step matrix. Steady-state and influence solves are direct on every
+// model. Above the gate, transient steps switch to IC(0)-preconditioned
+// CG warm-started from the previous temperatures, which needs about two
+// iterations at control-period step sizes: at 2212 nodes that beats the
+// factor's two sweeps (~0.38 vs ~0.5 ms), and the dense n×n macro
+// ladder would no longer pay. The paper's 100- and 198-core platforms
+// (364 and 560 nodes) sit below the gate.
+const directNodeGate = 768
 
-const (
-	// SolverAuto picks the dense direct solver below
-	// sparseNodeThreshold nodes and the sparse iterative solver above.
-	SolverAuto SolverKind = iota
-	// SolverDense forces the dense Cholesky path.
-	SolverDense
-	// SolverSparse forces the CSR + preconditioned-CG path.
-	SolverSparse
-)
-
-// String implements fmt.Stringer.
-func (k SolverKind) String() string {
-	switch k {
-	case SolverAuto:
-		return "auto"
-	case SolverDense:
-		return "dense"
-	case SolverSparse:
-		return "sparse"
-	}
-	return fmt.Sprintf("SolverKind(%d)", int(k))
-}
-
-// sparseNodeThreshold is the node count above which SolverAuto switches
-// from the dense Cholesky to the sparse preconditioned-CG path. Below
-// it, a cached dense triangular solve (O(n²) per RHS after an O(n³)
-// factorization that is cheap at this size) beats CG's iteration loop;
-// above it, the dense factorization's cubic time and quadratic memory
-// take over. The paper's 100-core platforms (364 nodes) stay dense; the
-// 198- and 361-core platforms and everything larger go sparse.
-const sparseNodeThreshold = 512
-
-// cgTol is the relative-residual tolerance of the sparse path. The
-// golden corpus compares at abs 1e-6 / rel 2e-3; 1e-10 leaves four
-// orders of magnitude of headroom while staying a few dozen iterations
-// on IC(0)-preconditioned grids.
+// cgTol is the relative-residual tolerance of the above-gate transient
+// CG. The golden corpus compares at abs 1e-6 / rel 2e-3; 1e-10 leaves
+// four orders of magnitude of headroom while staying a few iterations
+// per warm-started step.
 const cgTol = 1e-10
 
 // solveCounters aggregates solver work across a model's lifetime. The
-// counters are atomic because steady-state solves fan out on the runner
-// pool (influence columns) and transients may step concurrently.
+// counters are atomic because influence panels fan out on the runner
+// pool and transients may step concurrently.
 type solveCounters struct {
-	solves     atomic.Uint64
-	iterations atomic.Uint64
+	solves      atomic.Uint64
+	iterations  atomic.Uint64
+	factorNanos atomic.Int64
 }
 
 // SolverStats is a snapshot of the linear-solver work a model (and its
 // transients) performed.
 type SolverStats struct {
-	// Path is "dense" or "sparse".
+	// Path is "direct" when every solve of the model runs through the
+	// direct factor, or "sparse" above the node gate, where transient
+	// steps run preconditioned CG.
 	Path string `json:"path"`
 	// Solves counts linear solves (steady-state, influence columns and
 	// transient steps combined).
 	Solves uint64 `json:"solves"`
-	// CGIterations counts conjugate-gradient iterations; always zero on
-	// the dense path.
+	// CGIterations counts conjugate-gradient iterations of above-gate
+	// transient steps; always zero on the direct path.
 	CGIterations uint64 `json:"cg_iterations"`
+	// FactorEntries is the number of stored entries of the steady-state
+	// factor L (its fill); each sweep of a solve streams them once.
+	FactorEntries int `json:"factor_entries"`
+	// FactorMS is the wall time spent building factors so far: the
+	// steady-state one and every per-step-size transient one.
+	FactorMS float64 `json:"factor_ms"`
 }
 
-// factor is one factored linear system behind the solver seam: either a
-// dense Cholesky or a sparse matrix with its preconditioner. Factors are
-// immutable after construction and safe for concurrent solves; the
-// sparse side pools per-goroutine CG workspaces.
-type factor struct {
-	// Dense path.
-	chol *linalg.Cholesky
-	// Sparse path.
-	a    *linalg.CSR
-	prec linalg.Preconditioner
-	pool sync.Pool // of *cgWork
-
-	stats *solveCounters
+// newDirect factors the SPD matrix a under its profile ordering,
+// charging the build time to the model counters.
+func newDirect(a *linalg.CSR, stats *solveCounters) (*linalg.EnvelopeCholesky, error) {
+	t0 := time.Now()
+	f, err := linalg.NewEnvelopeCholesky(a, linalg.ProfileOrder(a))
+	stats.factorNanos.Add(int64(time.Since(t0)))
+	return f, err
 }
 
-// cgWork is one goroutine's reusable CG state: the solver scratch and a
-// solution buffer.
-type cgWork struct {
-	s *linalg.CGSolver
-	x linalg.Vector
-}
-
-// newDenseFactor factors a dense SPD matrix.
-func newDenseFactor(a *linalg.Matrix, stats *solveCounters) (*factor, error) {
-	ch, err := linalg.NewCholesky(a)
-	if err != nil {
-		return nil, err
+// newPreconditioner builds the IC(0) preconditioner of an above-gate
+// transient system, falling back to Jacobi if IC(0) breaks down.
+func newPreconditioner(a *linalg.CSR) (linalg.Preconditioner, error) {
+	if ic, err := linalg.NewIC0(a); err == nil {
+		return ic, nil
 	}
-	return &factor{chol: ch, stats: stats}, nil
+	return linalg.NewJacobi(a)
 }
 
-// newSparseFactor builds the IC(0) (fallback: Jacobi) preconditioner for
-// a sparse SPD matrix.
-func newSparseFactor(a *linalg.CSR, stats *solveCounters) (*factor, error) {
-	var prec linalg.Preconditioner
-	ic, err := linalg.NewIC0(a)
-	if err == nil {
-		prec = ic
+// SolveResidual solves one system for the given block power map through
+// the path production uses — the steady state for dt == 0, otherwise
+// one implicit-Euler step of size dt from the ambient state — and
+// returns the a-posteriori relative residual ‖A·x − b‖∞ / ‖b‖∞ with A
+// the assembled (C/dt +) G. `darksim verify` bounds it per platform.
+func (m *Model) SolveResidual(dt float64, blockPower []float64) (float64, error) {
+	b, err := m.nodePower(blockPower)
+	if err != nil {
+		return 0, err
+	}
+	b.AddScaled(1, m.ambRHS)
+	a, x := m.gs, b.Clone()
+	if dt == 0 {
+		m.solveSteady(x)
 	} else {
-		j, jerr := linalg.NewJacobi(a)
-		if jerr != nil {
-			return nil, jerr
+		tr, err := m.NewTransient(dt)
+		if err != nil {
+			return 0, err
 		}
-		prec = j
+		for i, c := range tr.tf.capDt {
+			b[i] += c * tr.t[i]
+		}
+		if a, err = m.gs.AddDiagonal(tr.tf.capDt); err != nil {
+			return 0, err
+		}
+		if _, err := tr.Step(blockPower); err != nil {
+			return 0, err
+		}
+		x = tr.t
 	}
-	f := &factor{a: a, prec: prec, stats: stats}
-	f.pool.New = func() any {
-		return &cgWork{s: f.newSolver(), x: linalg.NewVector(a.N)}
+	ax := linalg.NewVector(len(x))
+	if _, err := a.MulVec(x, ax); err != nil {
+		return 0, err
 	}
-	return f, nil
-}
-
-// newSolver creates a CG solver bound to this factor's matrix and
-// shared preconditioner. Callers that solve sequentially (the transient
-// stepper) hold one; concurrent callers go through solveInPlace's pool.
-func (f *factor) newSolver() *linalg.CGSolver {
-	s, err := linalg.NewCGSolver(f.a, linalg.CGOptions{Tol: cgTol, Precond: f.prec})
-	if err != nil {
-		// Options are fixed and valid; this cannot fail.
-		panic(fmt.Sprintf("thermal: CG solver construction: %v", err))
-	}
-	return s
-}
-
-// sparse reports whether this factor uses the iterative path.
-func (f *factor) sparse() bool { return f.chol == nil }
-
-// record folds one solve's statistics into the model counters.
-func (f *factor) record(st linalg.CGStats) {
-	f.stats.solves.Add(1)
-	if st.Iterations > 0 {
-		f.stats.iterations.Add(uint64(st.Iterations))
-	}
-}
-
-// solveInPlace overwrites b with A⁻¹·b. It is safe for concurrent use.
-func (f *factor) solveInPlace(b linalg.Vector) error {
-	if f.chol != nil {
-		f.chol.SolveInPlace(b)
-		f.record(linalg.CGStats{})
-		return nil
-	}
-	w := f.pool.Get().(*cgWork)
-	defer f.pool.Put(w)
-	w.x.Fill(0)
-	st, err := w.s.Solve(b, w.x)
-	f.record(st)
-	if err != nil {
-		return fmt.Errorf("thermal: sparse solve: %w", err)
-	}
-	copy(b, w.x)
-	return nil
+	return ax.AddScaled(-1, b).NormInf() / b.NormInf(), nil
 }

@@ -2,8 +2,10 @@ package thermal
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -229,8 +231,55 @@ func TestPowerVectorErrors(t *testing.T) {
 	}
 	bad := make([]float64, 100)
 	bad[3] = -1
-	if _, err := m.SteadyState(bad); err == nil {
-		t.Errorf("negative power should error")
+	var pe *PowerError
+	if _, err := m.SteadyState(bad); !errors.As(err, &pe) || pe.Block != 3 {
+		t.Errorf("negative power: %v", err)
+	}
+}
+
+// TestNonFinitePowerRejected pins that NaN and ±Inf block powers are
+// reported as a PowerError naming the block at every entry point —
+// steady state, Step, StepAll and MacroStep — instead of reaching the
+// direct factor, where they would silently become NaN temperatures.
+func TestNonFinitePowerRejected(t *testing.T) {
+	m := model16(t)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p := make([]float64, 100)
+		for i := range p {
+			p[i] = 1
+		}
+		p[17] = v
+		check := func(where string, err error) {
+			t.Helper()
+			var pe *PowerError
+			if !errors.As(err, &pe) || pe.Block != 17 || !strings.Contains(err.Error(), "non-finite") {
+				t.Errorf("%s with %v W: got %v, want a non-finite PowerError for block 17", where, v, err)
+			}
+		}
+		_, err := m.SteadyState(p)
+		check("SteadyState", err)
+		tr, err := m.NewTransient(1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := tr.BlockTemps()
+		_, err = tr.Step(p)
+		check("Step", err)
+		_, err = tr.MacroStep(p, 64)
+		check("MacroStep", err)
+		_, err = tr.MacroStep(p, 2)
+		check("MacroStep (exact fallback)", err)
+		for i, v := range tr.BlockTemps() {
+			if v != before[i] {
+				t.Fatalf("rejected power moved block %d: %v -> %v", i, before[i], v)
+			}
+		}
+		b, err := m.NewTransientBatch(1e-3, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		temps := [][]float64{make([]float64, 100), make([]float64, 100)}
+		check("StepAll", b.StepAll([][]float64{macroTestPower(), p}, nil, temps))
 	}
 }
 
@@ -472,112 +521,148 @@ func TestConductanceMatrixSymmetric(t *testing.T) {
 	if m.NumBlocks() != 100 {
 		t.Errorf("block count = %d", m.NumBlocks())
 	}
-	_ = linalg.Vector(nil) // keep import if asserts change
 }
 
-// modelWithSolver builds the 10x10 platform with a forced solver path.
+// SolverKind names the transient path a test forces on the 100-core
+// model: SolverDense is the direct factor (the path of every model up
+// to directNodeGate nodes), SolverSparse the warm-started CG steps of
+// larger models. The names are the ones the transient pins were written
+// with; the model itself has no solver option.
+type SolverKind int
+
+const (
+	SolverDense SolverKind = iota
+	SolverSparse
+)
+
+func (k SolverKind) String() string {
+	if k == SolverSparse {
+		return "cg-transient"
+	}
+	return "direct"
+}
+
+// modelWithSolver builds the 10x10 platform with the given transient
+// path forced.
 func modelWithSolver(t testing.TB, k SolverKind) *Model {
 	t.Helper()
-	fp, err := floorplan.NewGrid(10, 10, 5.1)
+	m := model16(t)
+	m.cgTransients = k == SolverSparse
+	return m
+}
+
+// gridModel builds a side×side-core platform model.
+func gridModel(t testing.TB, side int) *Model {
+	t.Helper()
+	fp, err := floorplan.NewGrid(side, side, 5.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(fp.DieW, fp.DieH, 10, 10)
-	cfg.Solver = k
-	m, err := NewModel(fp, cfg)
+	m, err := NewModel(fp, DefaultConfig(fp.DieW, fp.DieH, side, side))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
+// TestSolverPathSelection pins the node gate: models up to
+// directNodeGate nodes run every solve direct, larger ones step their
+// transients with CG while steady and influence solves stay direct.
 func TestSolverPathSelection(t *testing.T) {
-	// 364 nodes: auto stays dense; forcing sparse flips the path.
-	if got := model16(t).SolverPath(); got != "dense" {
-		t.Errorf("auto path on 364 nodes = %q, want dense", got)
+	p := func(m *Model, w float64) []float64 {
+		p := make([]float64, m.NumBlocks())
+		for i := range p {
+			p[i] = w
+		}
+		return p
 	}
-	if got := modelWithSolver(t, SolverSparse).SolverPath(); got != "sparse" {
-		t.Errorf("forced sparse path = %q", got)
-	}
-	if got := modelWithSolver(t, SolverDense).SolverPath(); got != "dense" {
-		t.Errorf("forced dense path = %q", got)
-	}
-	// A model above the threshold goes sparse on auto.
-	fp, err := floorplan.NewGrid(15, 15, 5.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := NewModel(fp, DefaultConfig(fp.DieW, fp.DieH, 15, 15))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.NumNodes() <= sparseNodeThreshold {
-		t.Fatalf("15x15 platform has %d nodes, expected above threshold", big.NumNodes())
-	}
-	if got := big.SolverPath(); got != "sparse" {
-		t.Errorf("auto path on %d nodes = %q, want sparse", big.NumNodes(), got)
-	}
-	// SolverKind strings and config validation.
-	if SolverAuto.String() != "auto" || SolverDense.String() != "dense" || SolverSparse.String() != "sparse" {
-		t.Errorf("SolverKind strings wrong")
-	}
-	if SolverKind(9).String() == "" {
-		t.Errorf("unknown kind should still print")
-	}
-	bad := DefaultConfig(0.02, 0.02, 4, 4)
-	bad.Solver = SolverKind(9)
-	if err := bad.Validate(); err == nil {
-		t.Errorf("unknown solver kind should fail validation")
+	for _, c := range []struct {
+		side int
+		path string
+	}{{10, "direct"}, {15, "direct"}, {19, "sparse"}} {
+		m := gridModel(t, c.side)
+		if got := m.SolverPath(); got != c.path {
+			t.Errorf("%d nodes: path %q, want %q", m.NumNodes(), got, c.path)
+		}
+		if (m.NumNodes() > directNodeGate) != (c.path == "sparse") {
+			t.Errorf("%d nodes on the wrong side of the %d-node gate", m.NumNodes(), directNodeGate)
+		}
+		if _, err := m.SteadyState(p(m, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if st := m.SolverStats(); st.CGIterations != 0 || st.Solves != 2 {
+			t.Errorf("%d nodes: steady solve stats %+v, want 2 direct solves", m.NumNodes(), st)
+		}
+		tr, err := m.NewTransient(1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Step(p(m, 2)); err != nil {
+			t.Fatal(err)
+		}
+		st := m.SolverStats()
+		if (st.CGIterations > 0) != (c.path == "sparse") {
+			t.Errorf("%d nodes: transient step stats %+v on the %s path", m.NumNodes(), st, c.path)
+		}
+		if want := c.path == "direct"; tr.MacroSupported() != want {
+			t.Errorf("%d nodes: MacroSupported = %v, want %v", m.NumNodes(), !want, want)
+		}
+		if st.FactorEntries < m.NumNodes() || st.FactorMS <= 0 {
+			t.Errorf("%d nodes: factor stats %+v", m.NumNodes(), st)
+		}
 	}
 }
 
-// TestSparseMatchesDenseSteadyState is the cross-path differential: the
-// sparse preconditioned-CG engine must reproduce the dense Cholesky
-// solution far inside the golden-corpus tolerance.
+// TestSparseMatchesDenseSteadyState is the cross-check of the direct
+// sparse factor against a dense Cholesky of the same conductance matrix:
+// steady state and influence matrix must agree to roundoff.
 func TestSparseMatchesDenseSteadyState(t *testing.T) {
-	dense := modelWithSolver(t, SolverDense)
-	sparse := modelWithSolver(t, SolverSparse)
+	m := model16(t)
+	ref, err := linalg.NewCholesky(m.gs.Dense())
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(7))
 	p := make([]float64, 100)
 	for i := range p {
 		p[i] = 4 * rng.Float64()
 	}
-	td, err := dense.SteadyState(p)
+	ts, err := m.SteadyState(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := sparse.SteadyState(p)
+	rhs, err := m.nodePower(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rhs.AddScaled(1, m.ambRHS)
+	ref.SolveInPlace(rhs)
+	td := m.blockTemps(rhs)
 	for i := range td {
-		if math.Abs(td[i]-ts[i]) > 1e-7 {
-			t.Fatalf("paths disagree at %d: dense %v sparse %v", i, td[i], ts[i])
+		if math.Abs(td[i]-ts[i]) > 1e-10 {
+			t.Fatalf("paths disagree at %d: dense %v direct %v", i, td[i], ts[i])
 		}
 	}
-	// Influence matrices agree too (parallel multi-RHS on the seam).
-	id, err := dense.InfluenceMatrix(context.Background())
+	is, err := m.InfluenceMatrix(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, err := sparse.InfluenceMatrix(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	col := linalg.NewVector(m.NumNodes())
+	id := linalg.NewMatrix(100, 100)
+	for j := 0; j < 100; j++ {
+		m.fillColumnRHS(col, j)
+		ref.SolveInPlace(col)
+		m.readColumn(id, col, j)
 	}
 	for i := 0; i < id.Rows; i++ {
 		for j := 0; j < id.Cols; j++ {
-			if math.Abs(id.At(i, j)-is.At(i, j)) > 1e-8 {
-				t.Fatalf("influence disagrees at (%d,%d)", i, j)
+			if math.Abs(id.At(i, j)-is.At(i, j)) > 1e-12 {
+				t.Fatalf("influence disagrees at (%d,%d): dense %v direct %v", i, j, id.At(i, j), is.At(i, j))
 			}
 		}
 	}
-	// Stats reflect the work done.
-	sd, ss := dense.SolverStats(), sparse.SolverStats()
-	if sd.Path != "dense" || sd.Solves == 0 || sd.CGIterations != 0 {
-		t.Errorf("dense stats = %+v", sd)
-	}
-	if ss.Path != "sparse" || ss.Solves == 0 || ss.CGIterations == 0 {
-		t.Errorf("sparse stats = %+v", ss)
+	if st := m.SolverStats(); st.Path != "direct" || st.Solves == 0 || st.CGIterations != 0 {
+		t.Errorf("direct stats = %+v", st)
 	}
 }
 
@@ -720,6 +805,9 @@ func TestBlocksSpanningMultipleDieCells(t *testing.T) {
 	}
 }
 
+// TestSteadyStateIterativeMatchesDirect cross-checks the direct steady
+// state against an independent IC(0)-preconditioned CG solve of the same
+// system.
 func TestSteadyStateIterativeMatchesDirect(t *testing.T) {
 	m := model16(t)
 	rng := rand.New(rand.NewSource(31))
@@ -731,34 +819,71 @@ func TestSteadyStateIterativeMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iter, err := m.SteadyStateIterative(p)
+	rhs, err := m.nodePower(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rhs.AddScaled(1, m.ambRHS)
+	x, _, err := linalg.SolveCG(m.gs, rhs, linalg.CGOptions{Tol: 1e-11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	iter := m.blockTemps(x)
 	for i := range direct {
 		if math.Abs(direct[i]-iter[i]) > 1e-5 {
 			t.Fatalf("solvers disagree at %d: %v vs %v", i, direct[i], iter[i])
 		}
 	}
-	// Error paths propagate.
-	if _, err := m.SteadyStateIterative(make([]float64, 3)); err == nil {
-		t.Errorf("bad power length should error")
-	}
 }
 
-func BenchmarkSteadyStateIterative100(b *testing.B) {
-	m := model16(b)
-	p := make([]float64, 100)
-	for i := range p {
-		p[i] = 2
+// TestBindFloorplanWindowMatchesFullScan pins the windowed block-to-cell
+// binding to a scan over every die cell, bit for bit, on grids finer,
+// equal and coarser than the floorplan and on a shelf-packed chip whose
+// blocks do not line up with the die grid.
+func TestBindFloorplanWindowMatchesFullScan(t *testing.T) {
+	grid, err := floorplan.NewGrid(6, 5, 5.1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := m.SteadyStateIterative(p); err != nil {
-		b.Fatal(err)
+	shelves, err := floorplan.NewShelves([]floorplan.ShelfGroup{
+		{Name: "big", Count: 4, AreaMM2: 20.4},
+		{Name: "little", Count: 21, AreaMM2: 5.1},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.SteadyStateIterative(p); err != nil {
-			b.Fatal(err)
+	for _, c := range []struct {
+		fp     *floorplan.Floorplan
+		nx, ny int
+	}{{grid, 6, 5}, {grid, 13, 11}, {grid, 4, 3}, {shelves, 7, 7}, {shelves, 12, 9}} {
+		m, err := NewModel(c.fp, DefaultConfig(c.fp.DieW, c.fp.DieH, c.nx, c.ny))
+		if err != nil {
+			t.Fatal(err)
+		}
+		offX, offY := -c.fp.DieW/2, -c.fp.DieH/2
+		for bi, b := range c.fp.Blocks {
+			bc := cell{x: b.X + offX, y: b.Y + offY, w: b.W, h: b.H}
+			var want []cellShare
+			var total float64
+			for _, ci := range m.layers[0] {
+				if ov := overlap(bc, m.cells[ci]); ov > 0 {
+					want = append(want, cellShare{node: ci, fraction: ov})
+					total += ov
+				}
+			}
+			for i := range want {
+				want[i].fraction /= total
+				want[i].weight = want[i].fraction
+			}
+			got := m.blockCells[bi]
+			if len(got) != len(want) {
+				t.Fatalf("%dx%d die grid, block %d: %d shares, full scan %d", c.nx, c.ny, bi, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%dx%d die grid, block %d share %d: %+v, full scan %+v", c.nx, c.ny, bi, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

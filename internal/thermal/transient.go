@@ -12,14 +12,14 @@ import (
 //	C·(T⁺ − T)/dt = −G·T⁺ + P + P_amb
 //	(C/dt + G)·T⁺ = (C/dt)·T + P + P_amb
 //
-// The left-hand matrix depends only on dt, so one factorization (dense
-// path) or preconditioner (sparse path) serves the whole run, and the
-// model caches it per dt across runs. On the dense path each step is a
-// single triangular solve; on the sparse path each step is a CG solve
-// warm-started from the previous temperatures, which converges in a
-// handful of iterations at small dt because consecutive states are
-// close. This is what makes the paper's §6 boosting experiments (100 s
-// at 1 ms control period, i.e. 10⁵ steps) tractable.
+// The left-hand matrix depends only on dt, so one factorization serves
+// the whole run, and the model caches it per dt across runs. Up to
+// directNodeGate nodes each step is one pair of triangular sweeps over
+// the direct factor; above it each step is a CG solve warm-started from
+// the previous temperatures, which converges in a handful of iterations
+// at small dt because consecutive states are close. This is what makes
+// the paper's §6 boosting experiments (100 s at 1 ms control period,
+// i.e. 10⁵ steps) tractable.
 //
 // On top of the exact per-step path, MacroStep and AdvanceQuiet expose
 // the macro-stepping fast path for intervals of frozen power (see
@@ -31,24 +31,22 @@ type Transient struct {
 	dt float64
 	tf *transFactor
 	t  linalg.Vector // current node temperatures
-	// cgs/x are the sparse path's private solver and solution buffer; a
-	// Transient is not safe for concurrent Steps, so no pooling needed.
+	// cgs/x are the above-gate CG path's private solver and solution
+	// buffer; a Transient is not safe for concurrent Steps, so no
+	// pooling needed.
 	cgs *linalg.CGSolver
 	x   linalg.Vector
 
 	// rhs is the pooled node-power / right-hand-side buffer every step
-	// assembles into; on the dense path it swaps with t after the solve.
+	// assembles into; on the direct path it swaps with t after the solve.
 	rhs linalg.Vector
 
 	// Macro-path state: ladder vectors and the frozen-power steady-state
-	// cache. tinf is T∞ for the power map frozen in tinfPow; steadyCG
-	// warm-starts successive T∞ solves on the sparse path, where
-	// consecutive frozen power maps differ only through leakage drift.
+	// cache (tinf is T∞ for the power map frozen in tinfPow).
 	b, scratch linalg.Vector
 	tinf       linalg.Vector
 	tinfPow    []float64
 	haveTinf   bool
-	steadyCG   *linalg.CGSolver
 }
 
 // NewTransient creates a transient integrator with step size dt (seconds),
@@ -64,8 +62,11 @@ func (m *Model) NewTransient(dt float64) (*Transient, error) {
 	}
 	n := len(m.cells)
 	tr := &Transient{m: m, dt: dt, tf: tf, t: m.ambNodes.Clone(), rhs: linalg.NewVector(n)}
-	if tf.fac.sparse() {
-		tr.cgs = tf.fac.newSolver()
+	if tf.prec != nil {
+		tr.cgs, err = linalg.NewCGSolver(tf.a, linalg.CGOptions{Tol: cgTol, Precond: tf.prec})
+		if err != nil {
+			return nil, err
+		}
 		tr.x = linalg.NewVector(n)
 	}
 	return tr, nil
@@ -110,30 +111,31 @@ func (tr *Transient) stepNodes() error {
 	for i := range p {
 		p[i] += tr.tf.capDt[i]*tr.t[i] + tr.m.ambRHS[i]
 	}
+	counters := &tr.m.counters
+	counters.solves.Add(1)
 	if tr.cgs == nil {
-		tr.tf.fac.chol.SolveInPlace(p)
-		tr.tf.fac.record(linalg.CGStats{})
+		tr.tf.direct.SolveInPlace(p)
 		tr.t, tr.rhs = p, tr.t
-	} else {
-		// Warm start from the current temperatures: at control-period
-		// step sizes consecutive states differ by millikelvins, so CG
-		// typically converges in a few iterations.
-		copy(tr.x, tr.t)
-		st, err := tr.cgs.Solve(p, tr.x)
-		tr.tf.fac.record(st)
-		if err != nil {
-			return fmt.Errorf("thermal: transient step: %w", err)
-		}
-		tr.t, tr.x = tr.x, tr.t
+		return nil
 	}
+	// Warm start from the current temperatures: at control-period step
+	// sizes consecutive states differ by millikelvins, so CG typically
+	// converges in a few iterations.
+	copy(tr.x, tr.t)
+	st, err := tr.cgs.Solve(p, tr.x)
+	counters.iterations.Add(uint64(st.Iterations))
+	if err != nil {
+		return fmt.Errorf("thermal: transient step: %w", err)
+	}
+	tr.t, tr.x = tr.x, tr.t
 	return nil
 }
 
 // MacroSupported reports whether this model/dt pair can macro-step,
-// building the kernel on first call. Models above the macro node gate
+// building the kernel on first call. Models above the node gate
 // always return false and keep the exact path.
 func (tr *Transient) MacroSupported() bool {
-	k, err := tr.tf.kernel(tr.m)
+	k, err := tr.tf.kernel()
 	return err == nil && k != nil
 }
 
@@ -148,7 +150,7 @@ func (tr *Transient) MacroStep(blockPower []float64, k int) ([]float64, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: macro step count %d", ErrConfig, k)
 	}
-	kern, err := tr.tf.kernel(tr.m)
+	kern, err := tr.tf.kernel()
 	if err != nil {
 		return nil, err
 	}
@@ -159,14 +161,12 @@ func (tr *Transient) MacroStep(blockPower []float64, k int) ([]float64, error) {
 		return nil, err
 	}
 	tr.ensureMacroBufs()
-	p := tr.rhs
-	for i := range p {
-		p[i] += tr.m.ambRHS[i]
+	for i, v := range tr.rhs {
+		tr.b[i] = v + tr.m.ambRHS[i]
 	}
-	if err := kern.ainv.MulVecInto(tr.b, p); err != nil {
-		return nil, err
-	}
-	if err := kern.powers.Advance(k, tr.t, tr.b, tr.scratch); err != nil {
+	tr.tf.direct.SolveInPlace(tr.b)
+	tr.m.counters.solves.Add(1)
+	if err := kern.Advance(k, tr.t, tr.b, tr.scratch); err != nil {
 		return nil, err
 	}
 	return tr.m.blockTemps(tr.t), nil
@@ -238,28 +238,9 @@ func (tr *Transient) frozenSteadyNodes(blockPower []float64) (linalg.Vector, err
 	if err := tr.m.nodePowerInto(tr.scratch, blockPower); err != nil {
 		return nil, err
 	}
-	rhs := tr.scratch
-	rhs.AddScaled(1, tr.m.ambRHS)
-	if !tr.m.steady.sparse() {
-		tr.m.steady.chol.SolveInPlace(rhs)
-		tr.m.steady.record(linalg.CGStats{})
-		copy(tr.tinf, rhs)
-	} else {
-		if tr.steadyCG == nil {
-			tr.steadyCG = tr.m.steady.newSolver()
-		}
-		// Warm start from the previous steady target (or the current
-		// state on the first solve): successive frozen power maps differ
-		// only by leakage drift, so CG converges in a few iterations.
-		if !tr.haveTinf {
-			copy(tr.tinf, tr.t)
-		}
-		st, err := tr.steadyCG.Solve(rhs, tr.tinf)
-		tr.m.steady.record(st)
-		if err != nil {
-			return nil, fmt.Errorf("thermal: frozen steady state: %w", err)
-		}
-	}
+	tr.scratch.AddScaled(1, tr.m.ambRHS)
+	copy(tr.tinf, tr.scratch)
+	tr.m.solveSteady(tr.tinf)
 	tr.tinfPow = append(tr.tinfPow[:0], blockPower...)
 	tr.haveTinf = true
 	return tr.tinf, nil

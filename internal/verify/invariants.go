@@ -8,7 +8,9 @@ import (
 	"darksim/internal/apps"
 	"darksim/internal/endofscaling"
 	"darksim/internal/experiments"
+	"darksim/internal/scenario"
 	"darksim/internal/tech"
+	"darksim/internal/thermal"
 	"darksim/internal/tsp"
 	"darksim/internal/vf"
 )
@@ -71,6 +73,13 @@ func Invariants() []Invariant {
 			Pins:   "§6/Fig11: boosting buys throughput, never energy per unit work",
 			Figure: "fig11",
 			Check:  checkBoostEnergy,
+		},
+		{
+			Name: "thermal-solve-residual",
+			Pins: "§2.1 RC model: steady and 1 ms implicit-Euler systems solve to the stated residual bound",
+			// Standalone: evaluated on the thermal model of every
+			// platform class the figures and the scenario pack use.
+			Check: checkSolveResidual,
 		},
 	}
 }
@@ -271,6 +280,72 @@ func checkBoostEnergy(r experiments.Renderer) error {
 		if mt > res.TDTM+tdtmSlackC {
 			return fmt.Errorf("%s trace peak temperature %.2f °C exceeds TDTM %.2f °C + %d °C slack",
 				name, mt, res.TDTM, tdtmSlackC)
+		}
+	}
+	return nil
+}
+
+// Residual bounds of checkSolveResidual, on ‖A·x − b‖∞ / ‖b‖∞. A
+// backward-stable direct solve leaves a residual of order ε·‖A‖·‖x‖, so
+// the ratio grows with how far the die's lateral conductances outweigh
+// the load: measured 1.2e-13 (100 cores) to 6.5e-13 (1024 cores) on
+// the steady systems and under 1e-15 on the 1 ms ones.
+// directResidualBound keeps a 15× margin over the worst class. Above the thermal node gate the
+// transient step is CG stopped at a 1e-10 relative 2-norm residual,
+// which bounds the ∞-norm ratio by 1e-10·√n; cgResidualBound covers the
+// largest class (2212 nodes, √n < 50).
+const (
+	directResidualBound = 1e-11
+	cgResidualBound     = 1e-10 * 50
+)
+
+// checkSolveResidual solves the steady system and the 1 ms transient
+// system (the control period of fig11 and fig13) of each platform
+// class — 16 nm × {100, 198, 361, 1024} cores, 11 nm × 198 (fig13) and
+// the big.LITTLE pack chip — and bounds the a-posteriori residual.
+func checkSolveResidual(experiments.Renderer) error {
+	type class struct {
+		name string
+		m    *thermal.Model
+	}
+	var classes []class
+	for _, c := range []struct {
+		node  tech.Node
+		cores int
+	}{{tech.Node16, 100}, {tech.Node16, 198}, {tech.Node16, 361}, {tech.Node16, 1024}, {tech.Node11, 198}} {
+		p, err := experiments.PlatformFor(c.node, c.cores)
+		if err != nil {
+			return err
+		}
+		classes = append(classes, class{fmt.Sprintf("%d nm × %d", c.node, c.cores), p.Thermal})
+	}
+	spec, err := scenario.PackByName(scenario.PackAsymmetric)
+	if err != nil {
+		return err
+	}
+	sc, err := scenario.Compile(spec)
+	if err != nil {
+		return err
+	}
+	classes = append(classes, class{"big.LITTLE pack chip", sc.Platform.Thermal})
+	for _, c := range classes {
+		p := make([]float64, c.m.NumBlocks())
+		for i := range p {
+			p[i] = 0.5 + 0.25*float64(i%7)
+		}
+		for _, dt := range []float64{0, 1e-3} {
+			r, err := c.m.SolveResidual(dt, p)
+			if err != nil {
+				return fmt.Errorf("%s dt=%g: %v", c.name, dt, err)
+			}
+			bound := directResidualBound
+			if dt > 0 && c.m.SolverPath() == "sparse" {
+				bound = cgResidualBound
+			}
+			if !(r <= bound) {
+				return fmt.Errorf("%s (%d nodes) dt=%g: relative residual %.3g above %.0g",
+					c.name, c.m.NumNodes(), dt, r, bound)
+			}
 		}
 	}
 	return nil
